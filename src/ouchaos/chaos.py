@@ -11,7 +11,6 @@ products of white noises.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from functools import lru_cache
@@ -25,6 +24,9 @@ from .numerics import QuadScheme, eval_batch, gh_tensor
 HERMITE_MAX_DEGREE = 60
 MONOMIAL_MAX_FACTORS = 8
 SIGMA_MAX_ORDER = 20
+# entries of one symmetric-power table (2^22 float64 entries are 32 MiB);
+# per-entry permanents would have taken hours long before this size
+BLOCK_MAX_ENTRIES = 1 << 22
 
 
 class MultiIndex(tuple):
@@ -65,6 +67,76 @@ def _indices(d, n):
     for last in range(n + 1):
         out.extend(MultiIndex(head + (last,)) for head in _indices(d - 1, n - last))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _index_tables(d, n):
+    """Integer tables over _indices(d, n), n >= 1, for multiplying a
+    polynomial by a linear form in the graded colex order.
+
+    down[i, k] is the position of alpha_k - e_i in _indices(d, n - 1), or
+    the length of that list when alpha_k[i] = 0; slot[k] is the last
+    nonzero slot of alpha_k and parent[k] = down[slot[k], k].
+    """
+    below = {alpha: k for k, alpha in enumerate(_indices(d, n - 1))}
+    alphas = _indices(d, n)
+    down = np.full((d, len(alphas)), len(below))
+    slot = np.empty(len(alphas), dtype=int)
+    for k, alpha in enumerate(alphas):
+        for i, e in enumerate(alpha):
+            if e > 0:
+                down[i, k] = below[alpha[:i] + (e - 1,) + alpha[i + 1:]]
+                slot[k] = i
+    parent = down[slot, np.arange(len(alphas))]
+    for table in (down, slot, parent):
+        table.flags.writeable = False
+    return down, slot, parent
+
+
+def _times_linear_forms(prev, down, forms):
+    """Coefficients over degree n of the products (sum_i forms[i, c] y_i) * p_c(y),
+    given those of the polynomials p_c over degree n - 1 as the columns of
+    prev; down is the table of _index_tables for degree n."""
+    padded = np.vstack([prev, np.zeros((1, prev.shape[1]))])
+    out = forms[0] * padded[down[0]]
+    for i in range(1, len(down)):
+        out += forms[i] * padded[down[i]]
+    return out
+
+
+def _symmetric_powers(m, max_degree):
+    """Yield, for n = 0..max_degree, the matrix of the n-th symmetric tensor
+    power of m in the orthonormal bases indexed by _indices(cols, n) and
+    _indices(rows, n): entry [beta, alpha] is perm(A)/sqrt(alpha! beta!).
+
+    It is read off P_n[beta, alpha], the coefficient of y^beta in
+    prod_l (sum_i m[i, l] y_i)^{alpha_l}, as P_n[beta, alpha]
+    sqrt(beta!/alpha!).  Each P_n is built from P_{n-1} by multiplying
+    column alpha - e_l by the linear form of column l of m, l the last
+    nonzero slot of alpha.
+    """
+    rows, cols = m.shape
+    # table sizes grow with the degree, so the top one bounds them all
+    size = math.comb(max_degree + rows - 1, max_degree) * math.comb(
+        max_degree + cols - 1, max_degree)
+    if size > BLOCK_MAX_ENTRIES:
+        raise SizeTooLarge(f"degree-{max_degree} block of {size} entries "
+                           f"exceeds the budget of {BLOCK_MAX_ENTRIES}")
+    p = np.ones((1, 1))
+    yield p
+    for n in range(1, max_degree + 1):
+        _, slot, parent = _index_tables(cols, n)
+        p = _times_linear_forms(p[:, parent], _index_tables(rows, n)[0],
+                                m[:, slot])
+        yield p * (_sqrt_factorials(rows, n)[:, None]
+                   / _sqrt_factorials(cols, n)[None, :])
+
+
+@lru_cache(maxsize=None)
+def _sqrt_factorials(d, n):
+    out = np.array([math.sqrt(alpha.factorial) for alpha in _indices(d, n)])
+    out.flags.writeable = False
+    return out
 
 
 def enumerate_indices(d, n):
@@ -283,28 +355,18 @@ def monomial_coeffs(gamma, h_list):
     """Degree-n chaos slice of a product of white noises prod_j W_{h_j}.
 
     c_alpha = sqrt(alpha!) * sum over distinct rearrangements tau of the
-    repeated-index list of alpha of prod_k h_k[tau_k]; everything lives on
-    the support of gamma, kernel components of the h_j are ignored.
+    repeated-index list of alpha of prod_k h_k[tau_k], that is sqrt(alpha!)
+    times the coefficient of y^alpha in prod_k (h_k . y); everything lives
+    on the support of gamma, kernel components of the h_j are ignored.
     """
     hs = [np.asarray(h, dtype=float).reshape(-1) for h in h_list]
     n = len(hs)
     if n > MONOMIAL_MAX_FACTORS:
         raise SizeTooLarge(f"{n} factors exceed the rearrangement budget")
-    if n == 0:
-        return ChaosExpansion(gamma, 0, {MultiIndex([0] * gamma.dim): 1.0})
-    mask = gamma.support
-    coeffs = {}
-    for alpha in _indices(gamma.dim, n):
-        if any(e > 0 and not mask[j] for j, e in enumerate(alpha)):
-            continue
-        idx = alpha.repeated()
-        total = 0.0
-        for tau in sorted(set(itertools.permutations(idx))):
-            term = 1.0
-            for k, pos in enumerate(tau):
-                term *= hs[k][pos]
-            total += term
-        c = math.sqrt(alpha.factorial) * total
-        if c != 0.0:
-            coeffs[alpha] = c
-    return ChaosExpansion(gamma, n, coeffs)
+    d = gamma.dim
+    poly = np.ones((1, 1))
+    for k, h in enumerate(hs, start=1):
+        live = np.where(gamma.support, h, 0.0)
+        poly = _times_linear_forms(poly, _index_tables(d, k)[0], live[:, None])
+    values = poly[:, 0] * _sqrt_factorials(d, n)
+    return ChaosExpansion(gamma, n, dict(zip(_indices(d, n), values.tolist())))

@@ -212,7 +212,8 @@ def _common_options(fn):
                       default=None, help="JSON experiment config.")(fn)
     fn = click.option("--out", "out_path", type=click.Path(), default=None,
                       help="Output file (default stdout).")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
+    fn = click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=0,
+                      show_default=True,
                       help="Seed for any Monte Carlo scheme.")(fn)
     fn = click.option("--threads", type=int, default=1, show_default=True,
                       help="Accepted for interface compatibility; results "

@@ -314,7 +314,8 @@ def mean_functional(model, f, t, scheme=None):
 
 
 def decay_ratio(model, f, p, s, t, scheme=None):
-    """||P_{s,t} f - m_t(f)||_{L^p(gamma_s)} / ||f||_{L^p(gamma_t)}."""
+    """||P_{s,t} f - m_t(f)||_{L^p(gamma_s)} / ||f - m_t(f)||_{L^p(gamma_t)};
+    0 when f is constant on the support of gamma_t."""
     if p <= 1:
         raise ValueError("need p > 1")
     gamma_s = model.measure_at(s)
@@ -328,9 +329,10 @@ def decay_ratio(model, f, p, s, t, scheme=None):
         return np.abs(transition(batch) - m_t) ** p
 
     num = expect(gamma_s, centered_power, scheme) ** (1.0 / p)
-    den = expect(gamma_t, lambda y: np.abs(np.asarray(f(y))) ** p,
+    den = expect(gamma_t, lambda y: np.abs(np.asarray(f(y)) - m_t) ** p,
                  scheme) ** (1.0 / p)
-    if den == 0.0:
+    # a constant f leaves only the round-off of m_t in the denominator
+    if den <= 1e-12 * abs(m_t):
         return 0.0
     return num / den
 

@@ -129,23 +129,21 @@ def eval_batch(f, pts):
     return np.array([float(f(p)) for p in pts], dtype=float)
 
 
-def _philox_batch(seed, batch_index, shape):
-    bg = np.random.Philox(key=np.uint64(seed)).jumped(batch_index)
-    return np.random.Generator(bg).standard_normal(shape)
-
-
 def mc_estimate(f, sampler, n, seed):
     """Monte Carlo mean of f over draws from ``sampler``.
 
     sampler(generator, size) must return an array of ``size`` samples.
     Samples are drawn in fixed-size batches, each from its own jumped
     Philox substream, so the estimate is a pure function of (seed, n).
-    Returns (mean, stderr).
+    The variance merges per-batch centred second moments with the pairwise
+    update of Chan, Golub and LeVeque, which keeps it accurate when the
+    mean dwarfs the spread.  Returns (mean, stderr).
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
     total = 0.0
-    total_sq = 0.0
+    run_mean = 0.0
+    m2 = 0.0
     done = 0
     batch_index = 0
     while done < n:
@@ -153,13 +151,17 @@ def mc_estimate(f, sampler, n, seed):
         bg = np.random.Philox(key=np.uint64(seed)).jumped(batch_index)
         xs = sampler(np.random.Generator(bg), size)
         vals = eval_batch(f, xs)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
+        batch_sum = float(np.sum(vals))
+        batch_mean = batch_sum / size
+        delta = batch_mean - run_mean
+        share = size / (done + size)
+        m2 += float(np.sum((vals - batch_mean) ** 2)) + delta * delta * done * share
+        run_mean += delta * share
+        total += batch_sum
         done += size
         batch_index += 1
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    return mean, math.sqrt(var / n)
+    var = m2 / (n - 1)
+    return total / n, math.sqrt(var / n)
 
 
 def gauss_expect(f, mean, cols, scheme):

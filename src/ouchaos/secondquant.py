@@ -3,8 +3,8 @@
 A contraction T between the Cameron-Martin spaces of two spectral Gaussians
 is stored through its matrix M in the Cameron-Martin orthonormal bases; the
 same matrix is the canonical-coordinate matrix of Q_nu^{-1/2} T Q_mu^{1/2}.
-The lifted operator acts degreewise on chaos expansions through permanental
-matrix elements, and pointwise through a Mehler-type average
+The lifted operator acts degreewise on chaos expansions through the
+symmetric tensor powers of M, and pointwise through a Mehler-type average
 
     (Gamma(T) f)(x) = E[f(A x + S y)],   y ~ mu,
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (NotContraction, NotSelfAdjoint, NotStrictContraction,
                      PreconditionViolated, SizeTooLarge, Unbounded)
-from .chaos import (ChaosExpansion, MultiIndex, enumerate_indices,
+from .chaos import (ChaosExpansion, MultiIndex, _indices, _symmetric_powers,
                     exp_functional_coeffs)
 from .gaussian import (LinearMap, SpectralGaussian, cm_inner, expect,
                        pinv_sqrt_apply, white_noise)
@@ -186,23 +186,23 @@ def gamma_series_apply(T, expansion):
     if expansion.max_degree > PERMANENT_MAX_SIZE:
         raise SizeTooLarge("series form is capped at degree 12")
     coeffs = {}
-    for n in range(expansion.max_degree + 1):
-        slice_n = expansion.degree_slice(n)
-        if not slice_n:
+    for n, block in enumerate(_symmetric_powers(T.matrix, expansion.max_degree)):
+        v = np.array([expansion.coeffs.get(a, 0.0) for a in _indices(T.mu.dim, n)])
+        if not v.any():
             continue
-        for beta in enumerate_indices(T.nu.dim, n):
-            c = sum(gamma_matrix_element(T, alpha, beta) * v
-                    for alpha, v in slice_n.items())
-            if c != 0.0:
-                coeffs[beta] = coeffs.get(beta, 0.0) + c
+        image = block @ v
+        coeffs.update((b, c) for b, c in zip(_indices(T.nu.dim, n), image.tolist())
+                      if c != 0.0)
     return ChaosExpansion(T.nu, expansion.max_degree, coeffs)
 
 
 def degree_block(T, n):
     """Matrix of the degree-n block in the graded colex bases."""
-    rows = enumerate_indices(T.nu.dim, n)
-    cols = enumerate_indices(T.mu.dim, n)
-    return np.array([[gamma_matrix_element(T, a, b) for a in cols] for b in rows])
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    for block in _symmetric_powers(T.matrix, n):
+        pass
+    return block
 
 
 def mehler_factors(T):

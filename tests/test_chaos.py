@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -213,6 +214,36 @@ def test_monomial_coeffs_match_projection():
         assert projected[alpha] == pytest.approx(closed[alpha], abs=1e-9)
     # degree grading: nothing outside the top slice
     assert all(a.order == 3 for a in closed.coeffs)
+
+
+def permutation_monomial_coeffs(gamma, hs):
+    """The rearrangement sum monomial_coeffs used to evaluate directly."""
+    coeffs = {}
+    for alpha in enumerate_indices(gamma.dim, len(hs)):
+        if any(e > 0 and not gamma.support[j] for j, e in enumerate(alpha)):
+            continue
+        total = 0.0
+        for tau in sorted(set(itertools.permutations(alpha.repeated()))):
+            term = 1.0
+            for k, pos in enumerate(tau):
+                term *= hs[k][pos]
+            total += term
+        c = math.sqrt(alpha.factorial) * total
+        if c != 0.0:
+            coeffs[alpha] = c
+    return coeffs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 6, 8])
+def test_monomial_coeffs_match_rearrangement_sum(n):
+    rng = np.random.default_rng(n)
+    g = SpectralGaussian([1.0, 0.0, 2.0, 0.5])
+    hs = [rng.standard_normal(4) for _ in range(n)]
+    got = monomial_coeffs(g, hs).coeffs
+    want = permutation_monomial_coeffs(g, hs)
+    assert set(got) == set(want)
+    for alpha, c in want.items():
+        assert got[alpha] == pytest.approx(c, rel=1e-12, abs=1e-12)
 
 
 def test_monomial_coeffs_factor_cap():

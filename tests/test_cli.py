@@ -182,6 +182,11 @@ class TestMehlerDemo:
                 math.exp(-float(row["t"])), rel=1e-12)
             assert float(row["max_abs_dev"]) < 1e-8
 
+    def test_negative_seed_exits_two(self, runner):
+        result = runner.invoke(main, ["mehler-demo", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+
     def test_negative_time_exits_two(self, runner, tmp_path):
         cfg = write_config(tmp_path, "mehler.json", {"t": [-1.0]})
         result = runner.invoke(main, ["mehler-demo", "--config", cfg])

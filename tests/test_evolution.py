@@ -10,6 +10,7 @@ from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
                                pst_via_second_quant)
 from ouchaos.gaussian import range_ratio_norm, white_noise
 from ouchaos.numerics import QuadScheme, panel_integrate, psd_sqrt
+from ouchaos.presets import build_preset
 from ouchaos.secondquant import x_extension
 
 
@@ -288,6 +289,17 @@ def test_decay_ratio_degree_one_attains_norm():
     f = lambda p: white_noise(gamma_t, coeff, p)
     ratio = decay_ratio(model, f, 2.0, s, t, QuadScheme.gauss_hermite(20))
     assert ratio == pytest.approx(ell.op_norm, abs=1e-8)
+
+
+def test_decay_ratio_centres_the_denominator():
+    # f = x_0 + 3 decays like its centred part x_0: the ratio is e^{a(t-s)}
+    rate = -0.8
+    model = build_preset("malliavin_const",
+                         {"rate_const": rate, "noise_consts": [1.0, 0.6]})
+    f = lambda p: p[:, 0] + 3.0
+    s, t = 0.2, 1.4
+    ratio = decay_ratio(model, f, 2.0, s, t, QuadScheme.gauss_hermite(8))
+    assert ratio == pytest.approx(math.exp(rate * (t - s)), rel=1e-10)
 
 
 def test_decay_ratio_p2_bounded_by_contraction_norm():

@@ -129,6 +129,16 @@ def test_mc_stderr_shrinks_like_sqrt_n():
     assert e_big < e_small / 2.5
 
 
+def test_mc_stderr_survives_a_large_offset():
+    # raw sums of f^2 cancel to nothing here; centred batch moments do not
+    n = 100_000
+    scheme = QuadScheme.monte_carlo(n, seed=0)
+    shifted = gauss_expect_err(lambda y: 1e9 + y[:, 0], np.zeros(1), np.eye(1), scheme)
+    plain = gauss_expect_err(lambda y: y[:, 0], np.zeros(1), np.eye(1), scheme)
+    assert shifted[1] == pytest.approx(1.0 / math.sqrt(n), rel=0.02)
+    assert shifted[1] == pytest.approx(plain[1], rel=1e-6)
+
+
 def test_panel_integrate_polynomial_exact():
     val = panel_integrate(lambda t: t ** 2, 0.0, 1.0)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-14)

@@ -142,6 +142,76 @@ def test_gamma_matrix_element_integral_oracle():
                 gamma_matrix_element(t, alpha, beta), abs=1e-8)
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (1, 4), (2, 3), (3, 2), (4, 3)])
+def test_degree_block_matches_ryser_elements(dims):
+    # symmetric-power blocks against one Ryser permanent per entry, with a
+    # kernel direction in mu whenever it has more than one coordinate
+    rng = np.random.default_rng(sum(dims))
+    mu = random_measure(rng, dims[0], degenerate=dims[0] > 1)
+    nu = random_measure(rng, dims[1])
+    t = random_contraction(rng, mu, nu)
+    for n in range(7):
+        ryser = np.array([[gamma_matrix_element(t, a, b)
+                           for a in enumerate_indices(mu.dim, n)]
+                          for b in enumerate_indices(nu.dim, n)])
+        assert degree_block(t, n) == pytest.approx(ryser, abs=1e-12)
+
+
+def test_degree_block_kernel_rows_vanish():
+    nu = SpectralGaussian([1.0, 0.0])
+    t = CMContraction(STD2, nu, [[0.3, -0.5], [0.7, 0.2]])
+    for n in range(1, 4):
+        block = degree_block(t, n)
+        for k, beta in enumerate(enumerate_indices(2, n)):
+            if beta[1] > 0:
+                assert not block[k].any()
+            else:
+                assert block[k] == pytest.approx(
+                    [gamma_matrix_element(t, a, beta)
+                     for a in enumerate_indices(2, n)], abs=1e-14)
+
+
+def test_degree_block_rejects_negative_degree_and_oversized_tables():
+    with pytest.raises(ValueError):
+        degree_block(CMContraction.identity(STD2), -1)
+    # C(19, 12)^2 = 2.5e9 entries: refused before any table is built
+    wide = SpectralGaussian([1.0] * 8)
+    with pytest.raises(SizeTooLarge):
+        degree_block(CMContraction.identity(wide), 12)
+    with pytest.raises(SizeTooLarge):
+        gamma_series_apply(CMContraction.identity(wide),
+                           ChaosExpansion(wide, 12, {(0,) * 8: 1.0}))
+
+
+def test_series_at_degree_ten():
+    # beyond the reach of per-entry permanents: the exponential law and the
+    # adjoint pairing at degree 10 between spaces of different dimension
+    rng = np.random.default_rng(73)
+    mu = random_measure(rng, 3)
+    nu = random_measure(rng, 2)
+    t = random_contraction(rng, mu, nu)
+    z = 0.8 * rng.standard_normal(3)
+    lhs = gamma_series_apply(t, exp_functional_coeffs(mu, z, 10))
+    rhs = exp_functional_coeffs(nu, t.matrix @ z, 10)
+    for alpha in enumerate_up_to(2, 10):
+        assert lhs[alpha] == pytest.approx(rhs[alpha], abs=1e-12)
+    f = ChaosExpansion(mu, 10, {a: rng.standard_normal()
+                                for a in enumerate_up_to(3, 10)})
+    g = ChaosExpansion(nu, 10, {a: rng.standard_normal()
+                                for a in enumerate_up_to(2, 10)})
+    tf = gamma_series_apply(t, f)
+    tg = gamma_series_apply(t.adjoint, g)
+    lhs_ip = sum(tf[a] * g[a] for a in enumerate_up_to(2, 10))
+    rhs_ip = sum(f[a] * tg[a] for a in enumerate_up_to(3, 10))
+    assert lhs_ip == pytest.approx(rhs_ip, abs=1e-10)
+
+
+def test_series_degree_cap():
+    with pytest.raises(SizeTooLarge):
+        gamma_series_apply(CMContraction.identity(STD1),
+                           ChaosExpansion(STD1, 13, {(13,): 1.0}))
+
+
 def test_gamma_series_identity_and_zero():
     e = ChaosExpansion(STD2, 3, {(0, 0): 1.0, (1, 0): 0.5, (2, 1): -0.7})
     out = gamma_series_apply(CMContraction.identity(STD2), e)
