@@ -21,17 +21,23 @@ P_{s,t} = Gamma(L) between L^2(gamma_t) and L^2(gamma_s).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import HypothesisFailed, NoDecay, NotContraction
+from .chaos import project
+from .errors import HypothesisFailed, NoDecay, NotContraction, SchemeTooCoarse
 from .gaussian import SpectralGaussian, expect, range_ratio_norm
 from .numerics import (QuadScheme, eval_batch, gauss_expect, gh_tensor,
                        panel_integrate, psd_sqrt)
-from .secondquant import CMContraction, gamma_integral_apply, q0_threshold
+from .secondquant import (CMContraction, gamma_integral_apply,
+                          gamma_series_apply, q0_threshold)
 
 TRACE_TOL = 1e-10
 STATIONARY_OFFDIAG_TOL = 1e-10
+# f-evaluations the nested kernel quadrature of decay_ratio may spend
+# (12^4 x 12^4 = 4.3e8 of them take about 7 s)
+DECAY_MAX_EVALS = 10 ** 9
 
 
 class EvolutionFamily:
@@ -313,17 +319,31 @@ def mean_functional(model, f, t, scheme=None):
     return expect(gamma_t, f, scheme)
 
 
-def decay_ratio(model, f, p, s, t, scheme=None):
+def decay_ratio(model, f, p, s, t, scheme=None, degree=None):
     """||P_{s,t} f - m_t(f)||_{L^p(gamma_s)} / ||f - m_t(f)||_{L^p(gamma_t)};
-    0 when f is constant on the support of gamma_t."""
+    0 when f is constant on the support of gamma_t.
+
+    At p = 2 with ``degree`` (the polynomial degree of f) given, the ratio
+    is exact from the chaos expansion of f: Parseval turns both norms into
+    sums over the coefficients with alpha != 0, and P_{s,t} = Gamma(L) acts
+    on them through :func:`gamma_series_apply`.  The scheme then only sets
+    how f is projected; an f of higher degree raises SchemeTooCoarse under
+    Gauss-Hermite.  Otherwise the norms are averaged with a nested kernel
+    quadrature, refused with SchemeTooCoarse above DECAY_MAX_EVALS
+    evaluations of f.
+    """
     if p <= 1:
         raise ValueError("need p > 1")
+    if p == 2 and degree is not None:
+        return _chaos_decay_ratio(model, f, s, t, scheme, degree)
     gamma_s = model.measure_at(s)
     gamma_t = model.measure_at(t)
     if scheme is None:
         scheme = QuadScheme.default_for(model.dim, 10)
+    outer = (scheme.samples if scheme.kind == "monte_carlo"
+             else scheme.nodes ** int(np.count_nonzero(gamma_s.support)))
+    transition = _batched_transition(model, f, s, t, scheme, outer)
     m_t = mean_functional(model, f, t, scheme)
-    transition = _batched_transition(model, f, s, t, scheme)
 
     def centered_power(batch):
         return np.abs(transition(batch) - m_t) ** p
@@ -331,28 +351,62 @@ def decay_ratio(model, f, p, s, t, scheme=None):
     num = expect(gamma_s, centered_power, scheme) ** (1.0 / p)
     den = expect(gamma_t, lambda y: np.abs(np.asarray(f(y)) - m_t) ** p,
                  scheme) ** (1.0 / p)
+    return _ratio(num, den, m_t)
+
+
+def _ratio(num, den, m_t):
     # a constant f leaves only the round-off of m_t in the denominator
     if den <= 1e-12 * abs(m_t):
         return 0.0
     return num / den
 
 
-def _batched_transition(model, f, s, t, scheme):
+def _chaos_decay_ratio(model, f, s, t, scheme, degree):
+    gamma_t = model.measure_at(t)
+    if scheme is None:
+        scheme = QuadScheme.gauss_hermite(degree + 2)
+    exact = scheme.kind == "tensor_gauss_hermite"
+    if exact:
+        # degree + 1 nodes make the projection exact; one more lets the
+        # Parseval residual see an f of higher degree than declared
+        scheme = replace(scheme, nodes=max(degree + 2, scheme.nodes))
+    expansion = project(gamma_t, f, degree, scheme, expect_polynomial=exact)
+    image = gamma_series_apply(pst_contraction(model, s, t), expansion)
+    zero = (0,) * model.dim
+
+    def centred_norm(e):
+        return math.sqrt(sum(c * c for a, c in e.coeffs.items() if a != zero))
+
+    return _ratio(centred_norm(image), centred_norm(expansion), expansion[zero])
+
+
+def _batched_transition(model, f, s, t, scheme, outer):
     """P_{s,t} f evaluated on whole batches of starting points.
 
     The transition kernel is averaged with a fixed Gauss-Hermite rule in
     the displacement variable (one vectorized f call per node), so the
     cost stays linear in the batch even under an outer Monte Carlo
     scheme; nesting sampled inner averages inside an outer |.|^p would
-    also bias the estimate.
+    also bias the estimate.  Raises SchemeTooCoarse when ``outer``
+    starting points times the inner rule exceed DECAY_MAX_EVALS.
     """
     if model.dim > 4:
         inner = (scheme if scheme.kind == "tensor_gauss_hermite"
                  else QuadScheme.default_for(model.dim, 10))
+        per_point = (inner.nodes ** model.dim
+                     if inner.kind == "tensor_gauss_hermite" else inner.samples)
+    else:
+        nodes = scheme.nodes if scheme.kind == "tensor_gauss_hermite" else 12
+        per_point = nodes ** model.dim
+    if outer * per_point > DECAY_MAX_EVALS:
+        raise SchemeTooCoarse(
+            f"nested kernel quadrature needs {outer} x {per_point} evaluations "
+            f"of f, above the budget DECAY_MAX_EVALS = {DECAY_MAX_EVALS:.0e}; "
+            "at p = 2 the degree of f selects the exact chaos route")
+    if model.dim > 4:
         return lambda batch: np.array(
             [pst_apply(model, f, s, t, x, inner)
              for x in np.atleast_2d(batch)])
-    nodes = scheme.nodes if scheme.kind == "tensor_gauss_hermite" else 12
     u = model.u(t, s)
     q = model.q_ts(s, t)
     if model.is_diagonal:

@@ -205,38 +205,69 @@ def gauss_expect_err(f, mean, cols, scheme):
 
 
 def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):
-    """Composite Gauss-Legendre integral of a vector/matrix-valued function.
+    """Composite Gauss-Legendre integral of a vector/matrix-valued function,
+    refined locally.
 
     f must map an array of nodes (m,) to an array (m, ...) of integrand
-    values.  The panel count doubles until the L1 mass of the result is
-    stable to ``rtol`` (relative once the mass exceeds one), starting from a
-    single panel.  Raises :class:`QuadratureFailure` when the refinement cap
-    is hit without convergence.
+    values.  Starting from the single panel [a, b], each panel's
+    ``order``-point value is compared with the sum over its two halves, and
+    the halves are kept as its integral.  Once the differences add up to no
+    more than the error budget ``rtol * max(1, mass)``, mass being the L1
+    mass of the result, the sum is returned; until then every panel whose
+    difference exceeds its equal share of the budget is bisected, the others
+    stay as they are, and the new panels of one level are evaluated in a
+    single call of f.  A kink thus costs a few panels per level near it
+    instead of doubling all of them.  Raises :class:`QuadratureFailure` when
+    ``max_refine`` bisection levels do not meet the budget.
     """
     if b < a:
         raise ValueError("integration interval is reversed")
-    probe = np.asarray(f(np.array([0.5 * (a + b)])), dtype=float)
     if b == a:
+        probe = np.asarray(f(np.array([a], dtype=float)), dtype=float)
         return np.zeros(probe.shape[1:])
     xg, wg = leggauss(order)
-    previous = None
-    panels = 1
-    for _ in range(max_refine + 1):
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        # nodes for every panel at once: shape (panels, order) -> flat
-        nodes = (mid[:, None] + half[:, None] * xg[None, :]).reshape(-1)
-        weights = (half[:, None] * wg[None, :]).reshape(-1)
-        vals = np.asarray(f(nodes), dtype=float)
-        result = np.tensordot(weights, vals, axes=(0, 0))
-        mass = float(np.sum(np.abs(result)))
-        if previous is not None and abs(mass - previous) <= rtol * max(1.0, mass):
+    half = 0.5 * (b - a)
+    sums = _panel_sums(f, np.array([a, a, a + half]),
+                       np.array([b - a, half, half]), xg, wg)
+    lo, width = np.array([a]), np.array([b - a])
+    coarse, halves = sums[:1], sums[None, 1:]
+    for level in range(max_refine + 1):
+        fine = halves.sum(axis=1)
+        err = np.abs(coarse - fine).reshape(len(lo), -1).sum(axis=1)
+        result = fine.sum(axis=0)
+        budget = rtol * max(1.0, float(np.sum(np.abs(result))))
+        if err.sum() <= budget:
             return result
-        previous = mass
-        panels *= 2
+        if level == max_refine:
+            break
+        split = err > budget / len(lo)
+        # a split panel's halves become panels whose own value is known
+        child_lo = np.stack([lo[split], lo[split] + 0.5 * width[split]],
+                            axis=1).reshape(-1)
+        child_width = np.repeat(0.5 * width[split], 2)
+        quarter = np.repeat(0.5 * child_width, 2)
+        quarter_lo = np.stack([child_lo, child_lo + 0.5 * child_width],
+                              axis=1).reshape(-1)
+        child_halves = _panel_sums(f, quarter_lo, quarter, xg, wg)
+        keep = ~split
+        lo = np.concatenate([lo[keep], child_lo])
+        width = np.concatenate([width[keep], child_width])
+        coarse = np.concatenate([coarse[keep],
+                                 halves[split].reshape((-1,) + halves.shape[2:])])
+        halves = np.concatenate([halves[keep], child_halves.reshape(
+            (len(child_lo), 2) + child_halves.shape[1:])])
     raise QuadratureFailure(
         f"panel integration on [{a}, {b}] did not converge in {max_refine} refinements")
+
+
+def _panel_sums(f, lo, width, xg, wg):
+    """Gauss-Legendre values over the panels [lo, lo + width], from one call
+    of f on all their nodes; shape (panels, ...)."""
+    half = 0.5 * width
+    nodes = ((lo + half)[:, None] + half[:, None] * xg[None, :]).reshape(-1)
+    vals = np.asarray(f(nodes), dtype=float)
+    vals = vals.reshape((len(lo), len(xg)) + vals.shape[1:])
+    return np.einsum("kj,kj...->k...", half[:, None] * wg[None, :], vals)
 
 
 def psd_sqrt(mat, neg_tol=1e-10):

@@ -179,12 +179,11 @@ def gamma_matrix_element(T, alpha, beta):
 
 
 def gamma_series_apply(T, expansion):
-    """Degreewise action of the second quantization on a chaos expansion."""
+    """Degreewise action of the second quantization on a chaos expansion;
+    SizeTooLarge when its top block exceeds chaos.BLOCK_MAX_ENTRIES."""
     T.require_contraction()
     if expansion.measure != T.mu:
         raise ValueError("expansion lives on a different measure than T")
-    if expansion.max_degree > PERMANENT_MAX_SIZE:
-        raise SizeTooLarge("series form is capped at degree 12")
     coeffs = {}
     for n, block in enumerate(_symmetric_powers(T.matrix, expansion.max_degree)):
         v = np.array([expansion.coeffs.get(a, 0.0) for a in _indices(T.mu.dim, n)])

@@ -53,6 +53,11 @@ class TestVerify:
         assert report["failed"] == 0
         assert len(report["checks"]) == 18
 
+    def test_largest_seed_passes(self, runner):
+        result = runner.invoke(main, ["verify", "--seed", str(2 ** 64 - 1)])
+        assert result.exit_code == 0, result.output
+        assert "passed 18/18" in result.output
+
     def test_malformed_json_exits_two(self, runner, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"model": ')
@@ -118,6 +123,29 @@ class TestDecay:
         assert float(row["decay_ratio_p2"]) == pytest.approx(
             float(row["norm_U_cm"]), abs=1e-8)
         assert float(row["tail_cert"]) < 1e-9
+
+    def test_heat1d_at_dim_six_is_exact(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "decay.json", {
+            "model": {"preset": "heat1d",
+                      "params": {"gamma_exp": 0.25, "dim": 6}},
+            "sweep": {"s": [0.0], "t": [0.5]},
+            "f": {"kind": "coordinate", "index": 0}})
+        result = runner.invoke(main, ["decay", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        _, rows = parse_csv(result.output)
+        assert float(rows[0]["decay_ratio_p2"]) == pytest.approx(
+            math.exp(-0.5), abs=1e-12)
+
+    def test_monte_carlo_reruns_are_byte_identical(self, runner, tmp_path):
+        cfg = write_config(tmp_path, "decay.json", {
+            "sweep": {"s": [0.0], "t": [0.5, 1.0]},
+            "f": {"kind": "monomial", "powers": [2, 1, 0]},
+            "scheme": {"kind": "monte_carlo", "samples": 5000}})
+        runs = [runner.invoke(main, ["decay", "--config", cfg, "--seed", seed])
+                for seed in ("11", "11", "12")]
+        assert all(r.exit_code == 0 for r in runs)
+        assert runs[0].output == runs[1].output
+        assert runs[0].output != runs[2].output
 
     def test_nondecaying_inline_model_exits_one(self, runner, tmp_path):
         cfg = write_config(tmp_path, "decay.json", {

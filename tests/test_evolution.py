@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ouchaos.errors import HypothesisFailed, NoDecay, NotContraction
+from ouchaos.chaos import enumerate_up_to
+from ouchaos.errors import (HypothesisFailed, NoDecay, NotContraction,
+                            SchemeTooCoarse)
 from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
                                bignamini_check, decay_ratio, hyper_threshold,
                                mean_functional, pst_apply, pst_contraction,
@@ -312,6 +314,77 @@ def test_decay_ratio_p2_bounded_by_contraction_norm():
         f = lambda p, c=c: c[0] * p[:, 0] + c[1] * p[:, 1] ** 2 + c[2]
         ratio = decay_ratio(model, f, 2.0, s, t, QuadScheme.gauss_hermite(16))
         assert ratio <= norm + 1e-8
+
+
+def random_polynomial(rng, dim, degree):
+    powers = np.array(enumerate_up_to(dim, degree), dtype=float)
+    coeffs = rng.standard_normal(len(powers))
+    return lambda p: (np.atleast_2d(p)[:, None, :] ** powers).prod(axis=2) @ coeffs
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name,params", [
+    ("malliavin_const", {"rate_const": -0.7, "noise_consts": [1.0, 0.6, 1.3]}),
+    ("diag_arctan", {"c1": 1.0, "c2": 2.0}),
+])
+def test_decay_ratio_chaos_route_matches_quadrature(name, params, dim):
+    params = dict(params, dim=dim)
+    if "noise_consts" in params:
+        params["noise_consts"] = params["noise_consts"][:dim]
+    model = build_preset(name, params)
+    rng = np.random.default_rng(dim)
+    s, t = -0.3, 0.4
+    for degree in range(5):
+        f = random_polynomial(rng, dim, degree)
+        nested = decay_ratio(model, f, 2.0, s, t,
+                             QuadScheme.gauss_hermite(degree + 2))
+        exact = decay_ratio(model, f, 2.0, s, t, degree=degree)
+        assert exact == pytest.approx(nested, abs=1e-10)
+
+
+def test_decay_ratio_chaos_route_rejects_an_understated_degree():
+    model = build_preset("malliavin_const",
+                         {"rate_const": -1.0, "noise_consts": [1.0, 0.5]})
+    f = lambda p: p[:, 0] ** 3 - p[:, 1]
+    for scheme in (None, QuadScheme.gauss_hermite(3)):
+        with pytest.raises(SchemeTooCoarse):
+            decay_ratio(model, f, 2.0, 0.0, 1.0, scheme, degree=2)
+
+
+def test_decay_ratio_quadrature_route_refuses_past_its_budget():
+    # default scheme at dim 6: 200k outer samples, each with a 200k-sample
+    # inner transition
+    model = build_preset("heat1d", {"gamma_exp": 0.25, "dim": 6})
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[:, 0]
+
+    with pytest.raises(SchemeTooCoarse, match="DECAY_MAX_EVALS"):
+        decay_ratio(model, f, 3.0, 0.0, 0.5)
+    assert not calls
+
+
+def test_q_t_inf_across_the_arctan_kink_matches_split_reference():
+    # c1 = 1: the tail certificate first falls below 1e-10 at delta = 16
+    model = build_preset("diag_arctan", {"c1": 1.0, "c2": 2.0, "dim": 3})
+    t = 0.4
+    q, _ = model.q_t_inf(t)
+
+    def integrand(r):
+        growth = model.family.rate_integral(r, t)
+        return np.exp(2.0 * growth) * model.noise.diag_values(r) ** 2
+
+    x, w = np.polynomial.legendre.leggauss(12)
+    ref = np.zeros(3)
+    for lo, hi, panels in ((t - 16.0, 0.0, 1600), (0.0, t, 100)):
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        nodes = (mid[:, None] + half[:, None] * x).reshape(-1)
+        ref += (half[:, None] * w).reshape(-1) @ integrand(nodes)
+    assert np.diag(q) == pytest.approx(ref, rel=0, abs=1e-10)
 
 
 def test_bignamini_constant_model():

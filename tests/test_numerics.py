@@ -174,6 +174,33 @@ def test_panel_integrate_refinement_cap():
                         rtol=1e-12)
 
 
+def test_panel_integrate_refines_only_near_a_kink():
+    # the kink at 0.3 is off every dyadic panel edge of [-1, 1]
+    nodes = []
+
+    def f(r):
+        nodes.append(len(r))
+        return np.abs(r - 0.3)
+
+    val = panel_integrate(f, -1.0, 1.0)
+    assert val == pytest.approx((1.3 ** 2 + 0.7 ** 2) / 2.0, abs=1e-10)
+    assert sum(nodes) < 2000
+
+
+def test_panel_integrate_evaluates_each_level_in_one_call():
+    calls = []
+
+    def f(r):
+        calls.append(len(r))
+        return np.abs(r - 0.3)
+
+    with pytest.raises(QuadratureFailure):
+        panel_integrate(f, -1.0, 1.0, max_refine=3, rtol=1e-300)
+    # the first call holds the interval and its halves, then one per level
+    assert len(calls) == 4
+    assert calls[0] == 3 * 8
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=9))
 def test_gauss_expect_matches_normal_moments(k):

@@ -207,9 +207,21 @@ def test_series_at_degree_ten():
 
 
 def test_series_degree_cap():
+    # degree 13 is past the Ryser size cap but well inside the table budget
+    rng = np.random.default_rng(13)
+    mu = random_measure(rng, 2)
+    nu = random_measure(rng, 2)
+    t = random_contraction(rng, mu, nu)
+    z = np.array([0.6, -0.4])
+    image = gamma_series_apply(t, exp_functional_coeffs(mu, z, 13))
+    want = exp_functional_coeffs(nu, t.matrix @ z, 13)
+    for alpha in enumerate_indices(2, 13):
+        assert image[alpha] == pytest.approx(want[alpha], abs=1e-12)
+    # C(22, 13)^2 entries in the degree-13 block of a 10-mode measure
+    std10 = SpectralGaussian(np.ones(10))
     with pytest.raises(SizeTooLarge):
-        gamma_series_apply(CMContraction.identity(STD1),
-                           ChaosExpansion(STD1, 13, {(13,): 1.0}))
+        gamma_series_apply(CMContraction.identity(std10),
+                           ChaosExpansion(std10, 13, {(13,) + (0,) * 9: 1.0}))
 
 
 def test_gamma_series_identity_and_zero():
