@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                      SizeTooLarge)
-from .numerics import QuadScheme, eval_batch, gh_tensor
+from .numerics import QuadScheme, _philox_batches, eval_batch, gh_tensor
 
 HERMITE_MAX_DEGREE = 60
 MONOMIAL_MAX_FACTORS = 8
@@ -169,13 +169,8 @@ def hermite_phi(n, xi):
     if n > HERMITE_MAX_DEGREE:
         raise DegreeTooLarge(f"degree {n} exceeds the recurrence budget")
     xi = np.asarray(xi, dtype=float)
-    prev = np.ones_like(xi)
-    if n == 0:
-        return prev if prev.ndim else float(prev)
-    cur = xi.copy()
-    for k in range(1, n):
-        prev, cur = cur, (xi * cur - prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
+    row = _phi_table(xi.reshape(-1), n)[n].reshape(xi.shape)
+    return row if row.ndim else float(row)
 
 
 def _phi_table(xi, max_degree):
@@ -194,15 +189,26 @@ def phi_alpha(gamma, alpha, x):
     alpha = MultiIndex(alpha)
     if len(alpha) != gamma.dim:
         raise ValueError("multi-index length does not match the dimension")
-    if any(e > 0 and not s for e, s in zip(alpha, gamma.support)):
-        raise OffSupport("multi-index loads a kernel direction")
+    return _hermite_sum(gamma, [(alpha, 1.0)], x)
+
+
+def _hermite_sum(gamma, terms, x):
+    """Sum of c * Phi_alpha(x) over the (alpha, c) in terms, from one phi
+    table per supported coordinate; x is a point or a batch."""
+    top = 0
+    for alpha, _ in terms:
+        if any(e > 0 and not s for e, s in zip(alpha, gamma.support)):
+            raise OffSupport("multi-index loads a kernel direction")
+        top = max(top, max(alpha, default=0))
+    if top > HERMITE_MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {top} exceeds the recurrence budget")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    out = np.full(len(x), math.sqrt(alpha.factorial))
-    for j, e in enumerate(alpha):
-        if e > 0:
-            out = out * hermite_phi(e, x[:, j] / math.sqrt(gamma.eigenvalues[j]))
+    tables = _support_tables(gamma, x, top)
+    out = np.zeros(len(x))
+    for alpha, c in terms:
+        out += c * _phi_from_tables(alpha, tables, len(x))
     return float(out[0]) if single else out
 
 
@@ -245,13 +251,7 @@ class ChaosExpansion:
 
 def eval_expansion(expansion, x):
     """Pointwise sum of coefficients times basis elements."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x = np.atleast_2d(x)
-    out = np.zeros(len(x))
-    for alpha, c in expansion.coeffs.items():
-        out += c * phi_alpha(expansion.measure, alpha, x)
-    return float(out[0]) if single else out
+    return _hermite_sum(expansion.measure, expansion.coeffs.items(), x)
 
 
 def l2_norm(expansion):
@@ -298,15 +298,11 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
         coeffs = {a: float(np.dot(wts, fv * _phi_from_tables(a, tables, len(pts))))
                   for a in alphas}
         sq_mass = float(np.dot(wts, fv * fv))
-    elif scheme.kind == "monte_carlo":
+    else:
         sums = np.zeros(len(alphas))
         sq_sum = 0.0
-        done = 0
-        batch_index = 0
-        while done < scheme.samples:
-            size = min(1 << 16, scheme.samples - done)
-            bg = np.random.Philox(key=np.uint64(scheme.seed)).jumped(batch_index)
-            draw = np.random.Generator(bg).standard_normal((size, len(supp)))
+        for gen, size in _philox_batches(scheme.seed, scheme.samples):
+            draw = gen.standard_normal((size, len(supp)))
             x = np.zeros((size, gamma.dim))
             x[:, supp] = draw * np.sqrt(gamma.eigenvalues[supp])[None, :]
             fv = eval_batch(f, x)
@@ -314,12 +310,8 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
             for i, a in enumerate(alphas):
                 sums[i] += float(np.sum(fv * _phi_from_tables(a, tables, size)))
             sq_sum += float(np.sum(fv * fv))
-            done += size
-            batch_index += 1
         coeffs = {a: s / scheme.samples for a, s in zip(alphas, sums)}
         sq_mass = sq_sum / scheme.samples
-    else:
-        raise ValueError("project needs a Gaussian-average scheme")
     residual_sq = sq_mass - sum(c * c for c in coeffs.values())
     residual = math.sqrt(max(residual_sq, 0.0))
     if expect_polynomial:

@@ -26,18 +26,14 @@ from dataclasses import replace
 import numpy as np
 
 from .chaos import project
-from .errors import HypothesisFailed, NoDecay, NotContraction, SchemeTooCoarse
+from .errors import HypothesisFailed, NoDecay, NotContraction
 from .gaussian import SpectralGaussian, expect, range_ratio_norm
-from .numerics import (QuadScheme, eval_batch, gauss_expect, gh_tensor,
-                       panel_integrate, psd_sqrt)
-from .secondquant import (CMContraction, gamma_integral_apply,
-                          gamma_series_apply, q0_threshold)
+from .numerics import QuadScheme, gauss_expect, panel_integrate, psd_sqrt
+from .secondquant import (CMContraction, _nested_rules, gamma_integral_apply,
+                          gamma_series_apply, lq_norm_gamma, q0_threshold)
 
 TRACE_TOL = 1e-10
 STATIONARY_OFFDIAG_TOL = 1e-10
-# f-evaluations the nested kernel quadrature of decay_ratio may spend
-# (12^4 x 12^4 = 4.3e8 of them take about 7 s)
-DECAY_MAX_EVALS = 10 ** 9
 
 
 class EvolutionFamily:
@@ -328,28 +324,26 @@ def decay_ratio(model, f, p, s, t, scheme=None, degree=None):
     sums over the coefficients with alpha != 0, and P_{s,t} = Gamma(L) acts
     on them through :func:`gamma_series_apply`.  The scheme then only sets
     how f is projected; an f of higher degree raises SchemeTooCoarse under
-    Gauss-Hermite.  Otherwise the norms are averaged with a nested kernel
-    quadrature, refused with SchemeTooCoarse above DECAY_MAX_EVALS
-    evaluations of f.
+    Gauss-Hermite.  Otherwise the numerator is the L^p(gamma_s) norm of
+    Gamma(L)(f - m_t(f)) from :func:`lq_norm_gamma`, L the contraction of
+    :func:`pst_contraction`, refused with SchemeTooCoarse before f is
+    evaluated when it would exceed NESTED_MAX_EVALS evaluations of f.
     """
     if p <= 1:
         raise ValueError("need p > 1")
     if p == 2 and degree is not None:
         return _chaos_decay_ratio(model, f, s, t, scheme, degree)
-    gamma_s = model.measure_at(s)
-    gamma_t = model.measure_at(t)
+    contraction = pst_contraction(model, s, t)
     if scheme is None:
         scheme = QuadScheme.default_for(model.dim, 10)
-    outer = (scheme.samples if scheme.kind == "monte_carlo"
-             else scheme.nodes ** int(np.count_nonzero(gamma_s.support)))
-    transition = _batched_transition(model, f, s, t, scheme, outer)
+    _nested_rules(contraction, scheme)  # refuses before m_t evaluates f
     m_t = mean_functional(model, f, t, scheme)
 
-    def centered_power(batch):
-        return np.abs(transition(batch) - m_t) ** p
+    def centred(y):
+        return np.asarray(f(y)) - m_t
 
-    num = expect(gamma_s, centered_power, scheme) ** (1.0 / p)
-    den = expect(gamma_t, lambda y: np.abs(np.asarray(f(y)) - m_t) ** p,
+    num = lq_norm_gamma(contraction, centred, p, scheme)
+    den = expect(model.measure_at(t), lambda y: np.abs(centred(y)) ** p,
                  scheme) ** (1.0 / p)
     return _ratio(num, den, m_t)
 
@@ -378,53 +372,6 @@ def _chaos_decay_ratio(model, f, s, t, scheme, degree):
         return math.sqrt(sum(c * c for a, c in e.coeffs.items() if a != zero))
 
     return _ratio(centred_norm(image), centred_norm(expansion), expansion[zero])
-
-
-def _batched_transition(model, f, s, t, scheme, outer):
-    """P_{s,t} f evaluated on whole batches of starting points.
-
-    The transition kernel is averaged with a fixed Gauss-Hermite rule in
-    the displacement variable (one vectorized f call per node), so the
-    cost stays linear in the batch even under an outer Monte Carlo
-    scheme; nesting sampled inner averages inside an outer |.|^p would
-    also bias the estimate.  Raises SchemeTooCoarse when ``outer``
-    starting points times the inner rule exceed DECAY_MAX_EVALS.
-    """
-    if model.dim > 4:
-        inner = (scheme if scheme.kind == "tensor_gauss_hermite"
-                 else QuadScheme.default_for(model.dim, 10))
-        per_point = (inner.nodes ** model.dim
-                     if inner.kind == "tensor_gauss_hermite" else inner.samples)
-    else:
-        nodes = scheme.nodes if scheme.kind == "tensor_gauss_hermite" else 12
-        per_point = nodes ** model.dim
-    if outer * per_point > DECAY_MAX_EVALS:
-        raise SchemeTooCoarse(
-            f"nested kernel quadrature needs {outer} x {per_point} evaluations "
-            f"of f, above the budget DECAY_MAX_EVALS = {DECAY_MAX_EVALS:.0e}; "
-            "at p = 2 the degree of f selects the exact chaos route")
-    if model.dim > 4:
-        return lambda batch: np.array(
-            [pst_apply(model, f, s, t, x, inner)
-             for x in np.atleast_2d(batch)])
-    u = model.u(t, s)
-    q = model.q_ts(s, t)
-    if model.is_diagonal:
-        cols = np.diag(np.sqrt(np.clip(np.diag(q), 0.0, None)))
-    else:
-        cols = psd_sqrt(q)
-    pts, w = gh_tensor(model.dim, nodes)
-    disp = pts @ cols.T
-
-    def transition(batch):
-        batch = np.atleast_2d(batch)
-        base = batch @ u.T
-        acc = np.zeros(len(batch))
-        for j in range(len(disp)):
-            acc += w[j] * np.asarray(eval_batch(f, base + disp[j]))
-        return acc
-
-    return transition
 
 
 def bignamini_check(model, s, t, bound_const, rate, power, verify_premise=False):

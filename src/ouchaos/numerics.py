@@ -1,8 +1,8 @@
 """Shared integration and randomness kernels.
 
 Everything downstream funnels Gaussian expectations through
-:func:`gauss_expect`, so quadrature exactness and Monte Carlo determinism
-are controlled in a single place.  Gauss-Hermite rules are the probabilists'
+:func:`gauss_expect` and its rule :func:`gauss_rule`, so quadrature
+exactness and Monte Carlo determinism are controlled in a single place.  Gauss-Hermite rules are the probabilists'
 ones (weight ``exp(-x^2/2)/sqrt(2*pi)``), matching the Hermite family used
 by the chaos module.  Monte Carlo uses the counter-based Philox generator
 with one substream per fixed-size batch, so results depend only on the seed
@@ -31,23 +31,21 @@ _MC_BATCH = 1 << 16
 class QuadScheme:
     """Declarative integration scheme.
 
-    kind is one of ``tensor_gauss_hermite``, ``monte_carlo`` or
-    ``time_panels``; the remaining fields are only meaningful for the kinds
-    that use them.  ``tolerance`` is optional: when set, Monte Carlo
-    estimates raise :class:`SchemeTooCoarse` if the standard error exceeds
-    it, and chaos projections use it to validate polynomial residuals.
+    kind is ``tensor_gauss_hermite`` (uses ``nodes``) or ``monte_carlo``
+    (uses ``samples`` and ``seed``).  ``tolerance`` is optional: when set,
+    Monte Carlo estimates raise :class:`SchemeTooCoarse` if the standard
+    error exceeds it, and chaos projections use it to validate polynomial
+    residuals.
     """
 
     kind: str
     nodes: int = 0
     samples: int = 0
     seed: int = 0
-    order: int = 8
-    max_refine: int = 14
     tolerance: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("tensor_gauss_hermite", "monte_carlo", "time_panels"):
+        if self.kind not in ("tensor_gauss_hermite", "monte_carlo"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "tensor_gauss_hermite" and not 1 <= self.nodes <= GH_MAX_NODES:
             raise ValueError("tensor_gauss_hermite needs 1 <= nodes <= 128")
@@ -61,11 +59,6 @@ class QuadScheme:
     @classmethod
     def monte_carlo(cls, samples, seed=0, tolerance=None):
         return cls(kind="monte_carlo", samples=samples, seed=seed, tolerance=tolerance)
-
-    @classmethod
-    def time_panels(cls, order=8, max_refine=14, tolerance=None):
-        return cls(kind="time_panels", order=order, max_refine=max_refine,
-                   tolerance=tolerance)
 
     @classmethod
     def default_for(cls, dim, degree, seed=0):
@@ -97,36 +90,47 @@ def gh_tensor(dim, n):
         raise SchemeTooCoarse(
             f"tensor grid {n}^{dim} exceeds the size cap; use monte_carlo")
     x, w = gh_nodes(n)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    axes = [g.reshape(-1) for g in
+            np.meshgrid(*([np.arange(n)] * dim), indexing="ij")]
+    pts = np.stack([x[i] for i in axes], axis=-1)
     wts = np.ones(len(pts))
-    for axis in range(dim):
-        wts *= w[_axis_index(pts, x, axis)]
+    for i in axes:
+        wts *= w[i]
     return pts, wts
-
-
-def _axis_index(pts, x, axis):
-    # recover per-axis node indices; nodes are distinct so searchsorted is safe
-    order = np.argsort(x)
-    return order[np.searchsorted(x[order], pts[:, axis])]
 
 
 def eval_batch(f, pts):
     """Evaluate f on a batch of points, accepting both vectorized callables
-    (f(pts) -> (m,)) and scalar ones (f(p) -> float)."""
+    (f(pts) -> (m,)) and scalar ones (f(p) -> float).
+
+    f is called point by point only when the batch call returns the wrong
+    shape or raises TypeError, IndexError or a plain ValueError, the ways a
+    scalar callable fails on a batch; every other exception, the library's
+    typed errors included, propagates from the batch call.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = len(pts)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = np.asarray(f(pts), dtype=float)
-    except Exception:
+    except Exception as exc:
+        if not (isinstance(exc, (TypeError, IndexError)) or type(exc) is ValueError):
+            raise
         out = None
     if out is not None and out.shape == (m,):
         return out
     if out is not None and out.shape == (m, 1):
         return out[:, 0]
     return np.array([float(f(p)) for p in pts], dtype=float)
+
+
+def _philox_batches(seed, n):
+    """(generator, size) for each batch of n draws: batch k holds at most
+    _MC_BATCH draws from the jumped substream Philox(seed).jumped(k)."""
+    for k, start in enumerate(range(0, n, _MC_BATCH)):
+        bg = np.random.Philox(key=np.uint64(seed)).jumped(k)
+        yield np.random.Generator(bg), min(_MC_BATCH, n - start)
 
 
 def mc_estimate(f, sampler, n, seed):
@@ -145,12 +149,8 @@ def mc_estimate(f, sampler, n, seed):
     run_mean = 0.0
     m2 = 0.0
     done = 0
-    batch_index = 0
-    while done < n:
-        size = min(_MC_BATCH, n - done)
-        bg = np.random.Philox(key=np.uint64(seed)).jumped(batch_index)
-        xs = sampler(np.random.Generator(bg), size)
-        vals = eval_batch(f, xs)
+    for gen, size in _philox_batches(seed, n):
+        vals = eval_batch(f, sampler(gen, size))
         batch_sum = float(np.sum(vals))
         batch_mean = batch_sum / size
         delta = batch_mean - run_mean
@@ -159,9 +159,39 @@ def mc_estimate(f, sampler, n, seed):
         run_mean += delta * share
         total += batch_sum
         done += size
-        batch_index += 1
     var = m2 / (n - 1)
     return total / n, math.sqrt(var / n)
+
+
+def _live_columns(cols):
+    cols = np.atleast_2d(np.asarray(cols, dtype=float))
+    return cols[:, np.linalg.norm(cols, axis=0) > 0.0]
+
+
+def rule_size(scheme, cols):
+    """Number of points in gauss_rule(scheme, cols), found without building it."""
+    m = _live_columns(cols).shape[1]
+    if m == 0:
+        return 1
+    return scheme.samples if scheme.kind == "monte_carlo" else scheme.nodes ** m
+
+
+def gauss_rule(scheme, cols):
+    """Points and weights of the scheme's rule for N(0, cols @ cols.T).
+
+    Zero columns of the d x m factor are pruned first.  Gauss-Hermite gives
+    the tensor grid over the remaining columns; Monte Carlo gives the
+    Philox draws of :func:`mc_estimate`'s batches with weights 1/n.
+    Points have shape (n, d).
+    """
+    cols = _live_columns(cols)
+    m = cols.shape[1]
+    if scheme.kind == "monte_carlo" and m > 0:
+        xi = np.concatenate([gen.standard_normal((size, m)) for gen, size
+                             in _philox_batches(scheme.seed, scheme.samples)])
+        return xi @ cols.T, np.full(len(xi), 1.0 / len(xi))
+    pts, wts = gh_tensor(m, scheme.nodes)
+    return pts @ cols.T, wts
 
 
 def gauss_expect(f, mean, cols, scheme):
@@ -184,16 +214,9 @@ def gauss_expect_err(f, mean, cols, scheme):
     cols = np.atleast_2d(np.asarray(cols, dtype=float))
     if cols.shape[0] != mean.shape[0]:
         raise ValueError("cols must have one row per coordinate of mean")
-    norms = np.linalg.norm(cols, axis=0)
-    cols = cols[:, norms > 0.0]
+    cols = _live_columns(cols)
     m = cols.shape[1]
-    if m == 0:
-        return float(eval_batch(f, mean[None, :])[0]), 0.0
-    if scheme.kind == "tensor_gauss_hermite":
-        pts, wts = gh_tensor(m, scheme.nodes)
-        vals = eval_batch(f, mean[None, :] + pts @ cols.T)
-        return float(np.dot(wts, vals)), 0.0
-    if scheme.kind == "monte_carlo":
+    if scheme.kind == "monte_carlo" and m > 0:
         def sampler(gen, size):
             return mean[None, :] + gen.standard_normal((size, m)) @ cols.T
         est, err = mc_estimate(f, sampler, scheme.samples, scheme.seed)
@@ -201,7 +224,8 @@ def gauss_expect_err(f, mean, cols, scheme):
             raise SchemeTooCoarse(
                 f"standard error {err:.3e} above tolerance {scheme.tolerance:.3e}")
         return est, err
-    raise ValueError(f"scheme kind {scheme.kind!r} cannot average over a Gaussian")
+    disp, wts = gauss_rule(scheme, cols)
+    return float(np.dot(wts, eval_batch(f, mean[None, :] + disp))), 0.0
 
 
 def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):

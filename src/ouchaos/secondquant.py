@@ -24,18 +24,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NotContraction, NotSelfAdjoint, NotStrictContraction,
-                     PreconditionViolated, SizeTooLarge, Unbounded)
+                     PreconditionViolated, SchemeTooCoarse, SizeTooLarge,
+                     Unbounded)
 from .chaos import (ChaosExpansion, MultiIndex, _indices, _symmetric_powers,
                     exp_functional_coeffs)
 from .gaussian import (LinearMap, SpectralGaussian, cm_inner, expect,
                        pinv_sqrt_apply, white_noise)
-from .numerics import QuadScheme, gauss_expect, gauss_expect_err, psd_sqrt
+from .numerics import (QuadScheme, eval_batch, gauss_expect, gauss_rule,
+                       psd_sqrt, rule_size)
 
 PERMANENT_MAX_SIZE = 12
 CONTRACTION_SLACK = 1e-12
 STRICTNESS_GAP = 1e-12
 EXTENSION_CAP = 1e12
 CLAMP_REJECT = 1e-10
+# f-evaluations one nested Mehler quadrature may spend, outer points times
+# inner points (12^4 x 12^4 = 4.3e8 of them take about 3.5 s)
+NESTED_MAX_EVALS = 10 ** 9
 
 
 class CMContraction:
@@ -265,12 +270,34 @@ def q0_threshold(T, p):
 def lq_norm_gamma(T, f, q, scheme=None, inner_scheme=None):
     """L^q(nu) norm of Gamma(T) f, estimated by the scheme.
 
-    The outer integral runs over nu; every outer node triggers one inner
-    Mehler average over mu.  In Monte Carlo mode the standard-error guard of
-    the scheme applies to the outer estimate.
+    The outer integral runs over nu; Gamma(T) f is the inner Mehler average
+    over the rule of ``inner_scheme`` (by default the scheme itself under
+    Gauss-Hermite, else QuadScheme.default_for), taken for a whole outer
+    batch with one evaluation of f per inner point.  In Monte Carlo mode the
+    standard-error guard of the scheme applies to the outer estimate.
+    Raises SchemeTooCoarse, before f is evaluated, when outer points times
+    inner points exceed NESTED_MAX_EVALS.
     """
     if q < 1:
         raise ValueError("need q >= 1")
+    a, cols, scheme, inner_scheme = _nested_rules(T, scheme, inner_scheme)
+    disp, w = gauss_rule(inner_scheme, cols)
+
+    def abs_power(batch):
+        # column-major, so that f reads each coordinate x[:, k] contiguously
+        base = np.asfortranarray(np.atleast_2d(batch) @ a.T)
+        acc = np.zeros(len(base))
+        for j in range(len(w)):
+            acc += w[j] * eval_batch(f, base + disp[j])
+        return np.abs(acc) ** q
+
+    mass = gauss_expect(abs_power, np.zeros(T.nu.dim), T.nu.sqrt_cols(), scheme)
+    return max(mass, 0.0) ** (1.0 / q)
+
+
+def _nested_rules(T, scheme=None, inner_scheme=None):
+    """Mehler factors and the outer and inner schemes of lq_norm_gamma,
+    after checking that their nested rule stays within NESTED_MAX_EVALS."""
     a, cols = mehler_factors(T)
     if scheme is None:
         scheme = QuadScheme.default_for(T.nu.dim, 10)
@@ -279,14 +306,13 @@ def lq_norm_gamma(T, f, q, scheme=None, inner_scheme=None):
             inner_scheme = scheme
         else:
             inner_scheme = QuadScheme.default_for(T.mu.dim, 10)
-
-    def abs_power(batch):
-        batch = np.atleast_2d(batch)
-        vals = np.array([gauss_expect(f, a @ x, cols, inner_scheme) for x in batch])
-        return np.abs(vals) ** q
-
-    mass = gauss_expect(abs_power, np.zeros(T.nu.dim), T.nu.sqrt_cols(), scheme)
-    return max(mass, 0.0) ** (1.0 / q)
+    outer = rule_size(scheme, T.nu.sqrt_cols())
+    inner = rule_size(inner_scheme, cols)
+    if outer * inner > NESTED_MAX_EVALS:
+        raise SchemeTooCoarse(
+            f"nested Mehler quadrature needs {outer} x {inner} evaluations "
+            f"of f, above the budget NESTED_MAX_EVALS = {NESTED_MAX_EVALS:.0e}")
+    return a, cols, scheme, inner_scheme
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,19 @@ from ouchaos.secondquant import (CMContraction, degree_block, eigen_system,
 def random_polynomial(rng, d, degree):
     idx = enumerate_up_to(d, degree)
     coeffs = rng.uniform(-1.0, 1.0, len(idx))
-    powers = np.array([list(a) for a in idx], dtype=float)
+    powers = np.array([list(a) for a in idx], dtype=int)
 
     def f(p):
+        # integer power tables: one product per degree, not a float power
+        # of every (point, term, coordinate) triple
         p = np.atleast_2d(p)
-        return np.sum(coeffs * np.prod(p[:, None, :] ** powers[None],
-                                       axis=2), axis=1)
+        table = np.ones(p.shape + (degree + 1,))
+        for k in range(1, degree + 1):
+            table[:, :, k] = table[:, :, k - 1] * p
+        terms = np.ones((len(p), len(powers)))
+        for j in range(d):
+            terms *= table[:, j, powers[:, j]]
+        return terms @ coeffs
     return f
 
 

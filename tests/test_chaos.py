@@ -91,6 +91,13 @@ def test_phi_alpha_rejects_kernel_load():
         phi_alpha(g, (0, 1), [0.0, 0.0])
 
 
+def test_eval_expansion_rejects_kernel_load():
+    g = SpectralGaussian([1.0, 0.0])
+    e = ChaosExpansion(g, 2, {(1, 0): 0.5, (1, 1): 2.0})
+    with pytest.raises(OffSupport):
+        eval_expansion(e, np.zeros((3, 2)))
+
+
 def test_phi_alpha_gram_identity():
     g = SpectralGaussian([1.0, 0.25])
     alphas = enumerate_up_to(2, 3)

@@ -361,7 +361,7 @@ def test_decay_ratio_quadrature_route_refuses_past_its_budget():
         calls.append(len(p))
         return p[:, 0]
 
-    with pytest.raises(SchemeTooCoarse, match="DECAY_MAX_EVALS"):
+    with pytest.raises(SchemeTooCoarse, match="NESTED_MAX_EVALS"):
         decay_ratio(model, f, 3.0, 0.0, 0.5)
     assert not calls
 

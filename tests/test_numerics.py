@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouchaos.errors import QuadratureFailure, SchemeTooCoarse
-from ouchaos.numerics import (QuadScheme, gauss_expect, gauss_expect_err,
-                              gh_nodes, gh_tensor, mc_estimate,
-                              panel_integrate, psd_sqrt)
+from ouchaos.numerics import (QuadScheme, eval_batch, gauss_expect,
+                              gauss_expect_err, gauss_rule, gh_nodes,
+                              gh_tensor, mc_estimate, panel_integrate,
+                              psd_sqrt, rule_size)
 
 
 def test_gh_one_point_rule_is_the_mean():
@@ -90,6 +91,33 @@ def test_gauss_expect_accepts_scalar_callable():
     val = gauss_expect(lambda p: float(p[0]) ** 2, np.zeros(1),
                        np.eye(1), scheme)
     assert val == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("error", [RuntimeError("broken f"),
+                                   SchemeTooCoarse("inner scheme")])
+def test_eval_batch_propagates_genuine_errors_from_the_first_call(error):
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        raise error
+
+    with pytest.raises(type(error)):
+        eval_batch(f, np.zeros((5, 2)))
+    assert calls == [5]
+
+
+def test_gauss_rule_monte_carlo_draws_are_those_of_mc_estimate():
+    # 70 000 samples span two Philox batches; the zero column is pruned
+    scheme = QuadScheme.monte_carlo(70_000, seed=5)
+    cols = np.array([[0.8, 0.0, 0.1], [0.0, 0.0, 0.5]])
+    f = lambda p: np.cos(p[:, 0]) * p[:, 1] ** 2
+    pts, w = gauss_rule(scheme, cols)
+    assert pts.shape == (70_000, 2)
+    assert rule_size(scheme, cols) == 70_000
+    assert rule_size(QuadScheme.gauss_hermite(4), cols) == 16
+    est, _ = gauss_expect_err(f, np.zeros(2), cols, scheme)
+    assert np.dot(w, f(pts)) == pytest.approx(est, rel=1e-12)
 
 
 def test_gauss_expect_monte_carlo_matches_quadrature():

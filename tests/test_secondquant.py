@@ -10,13 +10,14 @@ from ouchaos.chaos import (ChaosExpansion, enumerate_indices, enumerate_up_to,
                            phi_alpha, project)
 from ouchaos.errors import (NotContraction, NotSelfAdjoint,
                             NotStrictContraction, PreconditionViolated,
-                            SizeTooLarge, Unbounded)
+                            SchemeTooCoarse, SizeTooLarge, Unbounded)
 from ouchaos.gaussian import SpectralGaussian, expect, white_noise
 from ouchaos.numerics import QuadScheme
 from ouchaos.secondquant import (CMContraction, degree_block, eigen_system,
                                  gamma_eigen, gamma_integral_apply,
                                  gamma_matrix_element, gamma_series_apply,
-                                 hs_norm_gamma, hyper_witness, lq_norm_gamma,
+                                 NESTED_MAX_EVALS, hs_norm_gamma,
+                                 hyper_witness, lq_norm_gamma,
                                  mehler_factors, permanent, polar_factors,
                                  q0_threshold, x_extension)
 
@@ -437,6 +438,38 @@ def test_lq_contraction_bound(p):
     image_norm = lq_norm_gamma(t, f, p, scheme=scheme)
     source_norm = expect(mu, lambda q_: f(q_) ** p, scheme) ** (1.0 / p)
     assert image_norm <= source_norm * (1.0 + 1e-8)
+
+
+def test_lq_norm_gamma_refuses_past_its_budget():
+    # 20^4 outer nodes times 20^4 inner nodes is 1.6e10 evaluations
+    rng = np.random.default_rng(53)
+    mu = random_measure(rng, 4)
+    t = random_contraction(rng, mu, mu)
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[:, 0]
+
+    assert 20 ** 8 > NESTED_MAX_EVALS
+    with pytest.raises(SchemeTooCoarse, match="NESTED_MAX_EVALS"):
+        lq_norm_gamma(t, f, 1.5, QuadScheme.gauss_hermite(20))
+    assert not calls
+
+
+def test_lq_norm_gamma_monte_carlo_inner_rule():
+    # the inner Mehler average of a linear f by sampling stays within a few
+    # standard errors of the exact one
+    rng = np.random.default_rng(59)
+    mu = random_measure(rng, 2)
+    t = random_contraction(rng, mu, mu)
+    f = lambda p: p[:, 0] - 0.5 * p[:, 1] + 0.3
+    scheme = QuadScheme.gauss_hermite(6)
+    exact = lq_norm_gamma(t, f, 2.0, scheme)
+    sampled = lq_norm_gamma(t, f, 2.0, scheme,
+                            inner_scheme=QuadScheme.monte_carlo(20_000, seed=3))
+    assert sampled == pytest.approx(exact, rel=0.05)
+    assert sampled != exact
 
 
 def test_hyper_witness_zero_alpha():
