@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                      SizeTooLarge)
-from .numerics import QuadScheme, _philox_batches, eval_batch, gh_tensor
+from .numerics import QuadScheme, _philox_batches, eval_batch, gauss_rule
 
 HERMITE_MAX_DEGREE = 60
 MONOMIAL_MAX_FACTORS = 8
@@ -290,12 +290,10 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     alphas = [a for a in enumerate_up_to(gamma.dim, max_degree)
               if all(e == 0 or gamma.support[j] for j, e in enumerate(a))]
     if scheme.kind == "tensor_gauss_hermite":
-        pts, wts = gh_tensor(len(supp), scheme.nodes)
-        x = np.zeros((len(pts), gamma.dim))
-        x[:, supp] = pts * np.sqrt(gamma.eigenvalues[supp])[None, :]
+        x, wts = gauss_rule(scheme, gamma.sqrt_cols())
         fv = eval_batch(f, x)
         tables = _support_tables(gamma, x, max_degree)
-        coeffs = {a: float(np.dot(wts, fv * _phi_from_tables(a, tables, len(pts))))
+        coeffs = {a: float(np.dot(wts, fv * _phi_from_tables(a, tables, len(x))))
                   for a in alphas}
         sq_mass = float(np.dot(wts, fv * fv))
     else:

@@ -323,11 +323,10 @@ def _verify_checks(model, extra_contractions, seed):
         f = lambda p: p[:, 0] ** 3 + p[:, 1] - 0.3 * p[:, 0] * p[:, 1]
         e = project(gamma2, f, 3, QuadScheme.gauss_hermite(12))
         out = gamma_series_apply(t_op, e)
-        for x in gamma2.sample(3, seed=(seed + 2) % 2 ** 64):
-            lhs = eval_expansion(out, x)
-            rhs = gamma_integral_apply(t_op, f, x,
-                                       QuadScheme.gauss_hermite(16))
-            assert abs(lhs - rhs) < 1e-8
+        xs = gamma2.sample(3, seed=(seed + 2) % 2 ** 64)
+        lhs = eval_expansion(out, xs)
+        rhs = gamma_integral_apply(t_op, f, xs, QuadScheme.gauss_hermite(16))
+        assert np.abs(lhs - rhs).max() < 1e-8
 
     def exponential_action():
         t_op = random_contraction()
@@ -399,9 +398,8 @@ def _verify_checks(model, extra_contractions, seed):
         scheme = QuadScheme.gauss_hermite(10)
         gs = model.measure_at(s)
         for f in (lambda p: p[:, 0] ** 2, lambda p: p[:, 0] * p[:, 1]):
-            lhs = expect(gs, lambda p: np.array(
-                [pst_apply(model, f, s, t, x, scheme)
-                 for x in np.atleast_2d(p)]), scheme)
+            lhs = expect(gs, lambda p: pst_apply(model, f, s, t, p, scheme),
+                         scheme)
             rhs = mean_functional(model, f, t, scheme)
             assert abs(lhs - rhs) < 1e-8
 
@@ -461,7 +459,7 @@ def cmd_hyper_scan(config_path, out_path, seed, threads):
         for (s, t) in pairs:
             ell = pst_contraction(model, s, t)
             norm = ell.op_norm
-            _, _, vt = np.linalg.svd(ell.matrix)
+            _, _, vt = ell._decomposition()
             h = sqrt_apply(ell.mu, vt[0])
             v = cm_norm(ell.mu, h) ** 2
             tau2 = cm_norm(ell.nu, ell.apply_cm(h)) ** 2

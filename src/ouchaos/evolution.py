@@ -28,9 +28,10 @@ import numpy as np
 from .chaos import project
 from .errors import HypothesisFailed, NoDecay, NotContraction
 from .gaussian import SpectralGaussian, expect, range_ratio_norm
-from .numerics import QuadScheme, gauss_expect, panel_integrate, psd_sqrt
-from .secondquant import (CMContraction, _nested_rules, gamma_integral_apply,
-                          gamma_series_apply, lq_norm_gamma, q0_threshold)
+from .numerics import QuadScheme, panel_integrate, psd_sqrt
+from .secondquant import (CMContraction, _average_at, _nested_rules,
+                          gamma_integral_apply, gamma_series_apply,
+                          lq_norm_gamma, q0_threshold)
 
 TRACE_TOL = 1e-10
 STATIONARY_OFFDIAG_TOL = 1e-10
@@ -258,19 +259,16 @@ class OUModel:
 
 
 def pst_apply(model, f, s, t, x, scheme=None):
-    """Transition average P_{s,t} f(x) = E[f(y)], y ~ N(u(t,s)x, Q(t,s))."""
+    """Transition average P_{s,t} f(x) = E[f(y)], y ~ N(u(t,s)x, Q(t,s)).
+
+    x is one point (d,), giving a float, or a batch (m, d), giving (m,);
+    the rule is built once for the whole batch.
+    """
     if s > t:
         raise ValueError("need s <= t")
     if scheme is None:
         scheme = QuadScheme.default_for(model.dim, 10)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    mean = model.u(t, s) @ x
-    q = model.q_ts(s, t)
-    if model.is_diagonal:
-        cols = np.diag(np.sqrt(np.clip(np.diag(q), 0.0, None)))
-    else:
-        cols = psd_sqrt(q)
-    return gauss_expect(f, mean, cols, scheme)
+    return _average_at(f, model.u(t, s), x, psd_sqrt(model.q_ts(s, t)), scheme)
 
 
 def pst_contraction(model, s, t, tol=1e-10):
@@ -295,11 +293,9 @@ def pst_contraction(model, s, t, tol=1e-10):
 
 
 def pst_via_second_quant(model, f, s, t, x, scheme=None):
-    """P_{s,t} f(x) through the second quantization of pst_contraction."""
-    contraction = pst_contraction(model, s, t)
-    if scheme is None:
-        scheme = QuadScheme.default_for(model.dim, 10)
-    return gamma_integral_apply(contraction, f, x, scheme)
+    """P_{s,t} f(x) through the second quantization of pst_contraction;
+    x is one point or a batch, as for :func:`pst_apply`."""
+    return gamma_integral_apply(pst_contraction(model, s, t), f, x, scheme)
 
 
 def hyper_threshold(model, s, t, p):

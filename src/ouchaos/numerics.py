@@ -1,8 +1,10 @@
 """Shared integration and randomness kernels.
 
-Everything downstream funnels Gaussian expectations through
-:func:`gauss_expect` and its rule :func:`gauss_rule`, so quadrature
-exactness and Monte Carlo determinism are controlled in a single place.  Gauss-Hermite rules are the probabilists'
+Everything downstream funnels Gaussian expectations through the rule of
+:func:`gauss_rule` and the one average over it, :func:`_gauss_average`, or,
+for a single Monte Carlo estimate with its standard error, through
+:func:`mc_estimate`, so quadrature exactness and Monte Carlo determinism
+are controlled in a single place.  Gauss-Hermite rules are the probabilists'
 ones (weight ``exp(-x^2/2)/sqrt(2*pi)``), matching the Hermite family used
 by the chaos module.  Monte Carlo uses the counter-based Philox generator
 with one substream per fixed-size batch, so results depend only on the seed
@@ -194,6 +196,50 @@ def gauss_rule(scheme, cols):
     return pts @ cols.T, wts
 
 
+def _gauss_average(f, means, cols, scheme):
+    """E[f(mean + cols @ xi)] for every row of ``means`` (m, d), over the one
+    rule gauss_rule(scheme, cols) that all rows share; returns shape (m,).
+
+    The loop runs over the shorter axis, rows or rule points (rule points on
+    a tie), and f gets the other axis as one batch: the rule around one
+    mean, or all means shifted by one rule point, column-major so that f
+    reads each coordinate contiguously.  Under Monte Carlo with a tolerance,
+    SchemeTooCoarse is raised when the standard error of any row, from its
+    centred second moment, exceeds ``tolerance * max(1, |value|)``.
+    """
+    disp, w = gauss_rule(scheme, cols)
+    n = len(w)
+    check = scheme.kind == "monte_carlo" and scheme.tolerance is not None and n > 1
+    m2 = np.zeros(len(means))
+    if len(means) < n:
+        out = np.empty(len(means))
+        for i, mean in enumerate(means):
+            vals = eval_batch(f, mean + disp)
+            out[i] = np.dot(w, vals)
+            if check:
+                m2[i] = np.sum((vals - out[i]) ** 2)
+    else:
+        base = np.asfortranarray(means)
+        out = np.zeros(len(means))
+        run = np.zeros(len(means))
+        for j in range(n):
+            vals = eval_batch(f, base + disp[j])
+            out += w[j] * vals
+            if check:
+                # Welford's update of the running mean and centred moment
+                delta = vals - run
+                run += delta / (j + 1)
+                m2 += delta * (vals - run)
+    if check:
+        err = np.sqrt(m2 / ((n - 1) * n))
+        bad = err > scheme.tolerance * np.maximum(1.0, np.abs(out))
+        if bad.any():
+            raise SchemeTooCoarse(
+                f"standard error {err[bad].max():.3e} above tolerance "
+                f"{scheme.tolerance:.3e}")
+    return out
+
+
 def gauss_expect(f, mean, cols, scheme):
     """E[f(mean + cols @ xi)] with xi a standard normal vector.
 
@@ -224,8 +270,7 @@ def gauss_expect_err(f, mean, cols, scheme):
             raise SchemeTooCoarse(
                 f"standard error {err:.3e} above tolerance {scheme.tolerance:.3e}")
         return est, err
-    disp, wts = gauss_rule(scheme, cols)
-    return float(np.dot(wts, eval_batch(f, mean[None, :] + disp))), 0.0
+    return float(_gauss_average(f, mean[None, :], cols, scheme)[0]), 0.0
 
 
 def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):

@@ -13,7 +13,7 @@ from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
 from ouchaos.gaussian import range_ratio_norm, white_noise
 from ouchaos.numerics import QuadScheme, panel_integrate, psd_sqrt
 from ouchaos.presets import build_preset
-from ouchaos.secondquant import x_extension
+from ouchaos.secondquant import gamma_integral_apply, lq_norm_gamma, x_extension
 
 
 def constant_model(lams):
@@ -175,6 +175,66 @@ def test_pst_chapman_kolmogorov_on_functions():
     staged = pst_apply(model, inner, s, r, x, scheme)
     direct = pst_apply(model, f, s, t, x, scheme)
     assert staged == pytest.approx(direct, abs=1e-9)
+
+
+BATCH_SCHEMES = [QuadScheme.gauss_hermite(3), QuadScheme.gauss_hermite(12),
+                 QuadScheme.monte_carlo(10, seed=4),
+                 QuadScheme.monte_carlo(500, seed=4)]
+
+
+@pytest.mark.parametrize("scheme", BATCH_SCHEMES,
+                         ids=["gh3", "gh12", "mc10", "mc500"])
+@pytest.mark.parametrize("route", ["pst_apply", "pst_via_second_quant",
+                                   "gamma_integral_apply"])
+def test_batch_x_matches_per_point_calls(route, scheme):
+    # 20 rows against rules of 9 and 10 points, and of 144 and 500, take
+    # both loop axes of the shared Gaussian average
+    model = wavy_model()
+    s, t = 0.2, 0.9
+    f = lambda p: np.sin(p[:, 0]) * p[:, 1] ** 2 + p[:, 0]
+    if route == "gamma_integral_apply":
+        ell = pst_contraction(model, s, t)
+        apply = lambda x: gamma_integral_apply(ell, f, x, scheme)
+    else:
+        op = pst_apply if route == "pst_apply" else pst_via_second_quant
+        apply = lambda x: op(model, f, s, t, x, scheme)
+    xs = np.random.default_rng(3).standard_normal((20, 2))
+    batch = apply(xs)
+    assert isinstance(batch, np.ndarray) and batch.shape == (20,)
+    single = [apply(x) for x in xs]
+    assert all(type(v) is float for v in single)
+    single = np.array(single)
+    assert np.all(np.abs(batch - single)
+                  <= 1e-14 * np.maximum(1.0, np.abs(single)))
+
+
+def test_batch_monte_carlo_tolerance_applies_to_each_row():
+    # f = y_0 has the same spread at every x, so the relative standard
+    # error is about 0.018 at x = 0 and 0.018 / 2.43 at x = (4, 0)
+    model = constant_model([-1.0, -1.0])
+    scheme = QuadScheme.monte_carlo(1_000, seed=1, tolerance=0.012)
+    f = lambda p: p[:, 0]
+    far, near = np.array([4.0, 0.0]), np.zeros(2)
+    assert pst_apply(model, f, 0.0, 0.5, far[None, :], scheme).shape == (1,)
+    with pytest.raises(SchemeTooCoarse):
+        pst_apply(model, f, 0.0, 0.5, near, scheme)
+    with pytest.raises(SchemeTooCoarse):
+        pst_apply(model, f, 0.0, 0.5, np.stack([far, far, near]), scheme)
+
+
+def test_isometry_inner_average_loops_over_its_rule():
+    # at s = t the noise factor of L keeps one round-off column (3.5e-9),
+    # so the inner rule has 12 points against 12^4 outer points: f is
+    # called once per inner point, not once per outer point
+    model = build_preset("heat1d", {"dim": 4})
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[:, 0] ** 2 * p[:, 1] - 0.5 * p[:, 3] + 0.2
+
+    lq_norm_gamma(pst_contraction(model, 0.4, 0.4), f, 1.5)
+    assert calls == [12 ** 4] * 12
 
 
 def test_covariance_chapman_kolmogorov():

@@ -8,9 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from ouchaos.errors import Incomparable, OffRange
 from ouchaos.gaussian import (LinearMap, SpectralGaussian,
-                              cameron_martin_density, cm_inner, cm_norm,
-                              exp_functional, expect, pinv_sqrt_apply,
-                              range_ratio_norm, sqrt_apply, white_noise)
+                              cameron_martin_density, cm_inner, exp_functional,
+                              expect, pinv_sqrt_apply, range_ratio_norm,
+                              sqrt_apply, white_noise)
 from ouchaos.numerics import QuadScheme
 
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouchaos.errors import QuadratureFailure, SchemeTooCoarse
-from ouchaos.numerics import (QuadScheme, eval_batch, gauss_expect,
-                              gauss_expect_err, gauss_rule, gh_nodes,
-                              gh_tensor, mc_estimate, panel_integrate,
-                              psd_sqrt, rule_size)
+from ouchaos.numerics import (QuadScheme, _gauss_average, eval_batch,
+                              gauss_expect, gauss_expect_err, gauss_rule,
+                              gh_nodes, gh_tensor, mc_estimate,
+                              panel_integrate, psd_sqrt, rule_size)
 
 
 def test_gh_one_point_rule_is_the_mean():
@@ -145,6 +145,25 @@ def test_monte_carlo_tolerance_enforced():
     scheme = QuadScheme.monte_carlo(1_000, seed=0, tolerance=1e-8)
     with pytest.raises(SchemeTooCoarse):
         gauss_expect(lambda p: p[:, 0] ** 2, np.zeros(1), np.eye(1), scheme)
+
+
+@pytest.mark.parametrize("rows", [3, 60])
+def test_gauss_average_tolerance_is_each_rows_standard_error(rows):
+    # 40 draws against 3 rows loop over the rows, against 60 rows over the
+    # draws; either way the worst row's standard error sets the threshold
+    cols = np.array([[0.8, 0.0], [0.3, 0.5]])
+    f = lambda p: np.exp(0.5 * p[:, 0]) + p[:, 1] ** 2
+    means = np.random.default_rng(8).standard_normal((rows, 2))
+    pts, _ = gauss_rule(QuadScheme.monte_carlo(40, seed=2), cols)
+    vals = np.array([f(m + pts) for m in means])
+    err = vals.std(axis=1, ddof=1) / math.sqrt(40)
+    worst = float(np.max(err / np.maximum(1.0, np.abs(vals.mean(axis=1)))))
+    out = _gauss_average(f, means, cols, QuadScheme.monte_carlo(
+        40, seed=2, tolerance=worst * (1.0 + 1e-9)))
+    assert out == pytest.approx(vals.mean(axis=1), rel=1e-14)
+    with pytest.raises(SchemeTooCoarse):
+        _gauss_average(f, means, cols, QuadScheme.monte_carlo(
+            40, seed=2, tolerance=worst * (1.0 - 1e-9)))
 
 
 def test_mc_stderr_shrinks_like_sqrt_n():

@@ -6,12 +6,12 @@ import pytest
 
 from conftest import random_contraction, random_measure
 from ouchaos.chaos import (ChaosExpansion, enumerate_indices, enumerate_up_to,
-                           eval_expansion, exp_functional_coeffs, l2_norm,
-                           phi_alpha, project)
+                           eval_expansion, exp_functional_coeffs, phi_alpha,
+                           project)
 from ouchaos.errors import (NotContraction, NotSelfAdjoint,
                             NotStrictContraction, PreconditionViolated,
                             SchemeTooCoarse, SizeTooLarge, Unbounded)
-from ouchaos.gaussian import SpectralGaussian, expect, white_noise
+from ouchaos.gaussian import SpectralGaussian, expect
 from ouchaos.numerics import QuadScheme
 from ouchaos.secondquant import (CMContraction, degree_block, eigen_system,
                                  gamma_eigen, gamma_integral_apply,
@@ -470,6 +470,19 @@ def test_lq_norm_gamma_monte_carlo_inner_rule():
                             inner_scheme=QuadScheme.monte_carlo(20_000, seed=3))
     assert sampled == pytest.approx(exact, rel=0.05)
     assert sampled != exact
+
+
+def test_lq_norm_gamma_honours_an_inner_tolerance():
+    # 1 000 draws cannot reach a standard error of 1e-8; the inner average
+    # must refuse as gamma_integral_apply does on the same rule
+    mu = SpectralGaussian([1.0, 0.5])
+    t = CMContraction(mu, mu, [[0.6, 0.1], [0.0, 0.5]])
+    f = lambda p: p[:, 0] ** 2 + p[:, 1]
+    inner = QuadScheme.monte_carlo(1_000, tolerance=1e-8)
+    with pytest.raises(SchemeTooCoarse):
+        gamma_integral_apply(t, f, np.array([0.3, -0.2]), inner)
+    with pytest.raises(SchemeTooCoarse):
+        lq_norm_gamma(t, f, 1.5, QuadScheme.gauss_hermite(6), inner_scheme=inner)
 
 
 def test_hyper_witness_zero_alpha():
