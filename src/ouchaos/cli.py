@@ -18,13 +18,12 @@ import numpy as np
 from .chaos import (enumerate_up_to, eval_expansion, exp_functional_coeffs,
                     phi_alpha, project)
 from .errors import ConfigInvalid
-from .evolution import (EvolutionFamily, NoiseFamily, OUModel, decay_ratio,
-                        hyper_threshold, mean_functional, pst_apply,
-                        pst_contraction, pst_via_second_quant)
+from .evolution import (decay_ratio, hyper_threshold, mean_functional,
+                        pst_apply, pst_contraction, pst_via_second_quant)
 from .gaussian import (SpectralGaussian, cm_norm, exp_functional, expect,
                        sqrt_apply, white_noise)
 from .numerics import QuadScheme, gh_nodes, gh_tensor, mc_estimate
-from .presets import build_preset
+from .presets import _constant_model, build_preset
 from .secondquant import (CMContraction, degree_block, gamma_integral_apply,
                           gamma_series_apply, hs_norm_gamma, hyper_witness,
                           q0_threshold, x_extension)
@@ -86,18 +85,9 @@ def _model_from(cfg, seed):
                           "model.inline")
         if len(consts) != len(rates):
             _fail("model.inline rates and noise_consts lengths differ")
-        return _diag_const(rates, consts)
+        return _constant_model(rates, consts)
     params = _require_mapping(spec.get("params", {}), "model.params")
     return build_preset(spec.get("preset", "diag_arctan"), params)
-
-
-def _diag_const(rates, consts):
-    family = EvolutionFamily.diagonal_constant(rates)
-    noise = NoiseFamily.diagonal(
-        [(lambda t, v=v: np.full_like(np.asarray(t, dtype=float), v))
-         for v in consts], bound=float(max(consts)))
-    return OUModel(family, noise, mode_decay=rates,
-                   mode_noise_sup=np.asarray(consts, dtype=float))
 
 
 def _sweep_from(cfg, with_p):

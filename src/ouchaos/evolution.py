@@ -9,8 +9,10 @@ time-dependent noise intensity B(t).  The two covariance integrals
 define the transition kernel of P_{s,t} and the evolution system of measures
 gamma_t = N(0, Q(t,-inf)).  The infinite lower limit is truncated by an
 analytic exponential tail certificate, never by eyeballing convergence.
-Diagonal families get a fast per-mode path with closed-form or cached rate
-integrals; everything else goes through dense matrix quadrature.
+Models built from constant per-mode rates and noise (both families made by
+``diagonal_constant``) get Q(t,s) in closed form; other diagonal models
+integrate all modes in one vector-valued panel sweep, and everything else
+goes through dense matrix quadrature.
 
 P_{s,t} is exposed both as a Gaussian average and through second
 quantization: the restriction of U(t,s) to the Cameron-Martin space of
@@ -38,13 +40,15 @@ STATIONARY_OFFDIAG_TOL = 1e-10
 
 
 class EvolutionFamily:
-    """Evolution operator u(t, s); diagonal families carry per-mode rates."""
+    """Evolution operator u(t, s); diagonal families carry per-mode rates,
+    and constant ones their rates lambda_k as ``constants``."""
 
     def __init__(self, u_fn, dim, rates=None, rate_integrals=None):
         self._u_fn = u_fn
         self.dim = int(dim)
         self.rates = rates
         self._rate_integrals = rate_integrals
+        self.constants = None
 
     @classmethod
     def diagonal(cls, rates, rate_integrals=None):
@@ -61,7 +65,9 @@ class EvolutionFamily:
         rates = [(lambda t, lam=lam: lam + 0.0 * np.asarray(t)) for lam in lams]
         integrals = [(lambda s, t, lam=lam: lam * (t - np.asarray(s, dtype=float)))
                      for lam in lams]
-        return cls.diagonal(rates, integrals)
+        self = cls.diagonal(rates, integrals)
+        self.constants = lams
+        return self
 
     @property
     def is_diagonal(self):
@@ -93,17 +99,30 @@ class EvolutionFamily:
 
 
 class NoiseFamily:
-    """Noise intensity b(t); diagonal families carry per-mode functions."""
+    """Noise intensity b(t); diagonal families carry per-mode functions,
+    and constant ones their values b_k as ``constants``."""
 
     def __init__(self, b_fn, dim, funcs=None, bound=None):
         self._b_fn = b_fn
         self.dim = int(dim)
         self.funcs = funcs
         self.bound = bound
+        self.constants = None
 
     @classmethod
     def diagonal(cls, funcs, bound=None):
         return cls(None, len(funcs), funcs=list(funcs), bound=bound)
+
+    @classmethod
+    def diagonal_constant(cls, values, bound=None):
+        """Family diag(b_k) with constant b_k; bound defaults to max |b_k|."""
+        values = np.asarray(values, dtype=float)
+        funcs = [(lambda t, v=v: np.full_like(np.asarray(t, dtype=float), v))
+                 for v in values]
+        self = cls.diagonal(funcs, bound=float(np.abs(values).max())
+                            if bound is None else bound)
+        self.constants = values
+        return self
 
     @property
     def is_diagonal(self):
@@ -169,7 +188,16 @@ class OUModel:
     # -- covariance integrals ------------------------------------------------
 
     def _q_diag(self, s, t):
-        """Per-mode q_k(t,s) for diagonal models, one vector-valued panel sweep."""
+        """Per-mode q_k(t,s) for diagonal models: in closed form for constant
+        rates and noise, else one vector-valued panel sweep."""
+        lam, b = self.family.constants, self.noise.constants
+        if lam is not None and b is not None:
+            # b^2 int_s^t exp(2 lam (t-r)) dr, which is b^2 (t-s) at lam = 0
+            two_lam = 2.0 * lam
+            flat = two_lam == 0.0
+            growth = np.expm1(two_lam * (t - s)) / np.where(flat, 1.0, two_lam)
+            return b * b * np.where(flat, t - s, growth)
+
         def integrand(r):
             growth = self.family.rate_integral(r, t)        # (m, d)
             noise = self.noise.diag_values(r)                # (m, d)

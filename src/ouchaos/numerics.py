@@ -14,7 +14,6 @@ and the sample count, never on scheduling.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +112,7 @@ def eval_batch(f, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m = len(pts)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            out = np.asarray(f(pts), dtype=float)
+        out = np.asarray(f(pts), dtype=float)
     except Exception as exc:
         if not (isinstance(exc, (TypeError, IndexError)) or type(exc) is ValueError):
             raise
@@ -155,14 +152,21 @@ def mc_estimate(f, sampler, n, seed):
         vals = eval_batch(f, sampler(gen, size))
         batch_sum = float(np.sum(vals))
         batch_mean = batch_sum / size
-        delta = batch_mean - run_mean
-        share = size / (done + size)
-        m2 += float(np.sum((vals - batch_mean) ** 2)) + delta * delta * done * share
-        run_mean += delta * share
+        run_mean, m2 = _merge_moments(
+            run_mean, m2, done, batch_mean,
+            float(np.sum((vals - batch_mean) ** 2)), size)
         total += batch_sum
         done += size
     var = m2 / (n - 1)
     return total / n, math.sqrt(var / n)
+
+
+def _merge_moments(mean, m2, done, batch_mean, batch_m2, size):
+    """Chan, Golub and LeVeque's pairwise update: the mean and centred second
+    moment of ``done`` values merged with those of a batch of ``size``."""
+    delta = batch_mean - mean
+    share = size / (done + size)
+    return mean + delta * share, m2 + (batch_m2 + delta * delta * done * share)
 
 
 def _live_columns(cols):
@@ -186,52 +190,64 @@ def gauss_rule(scheme, cols):
     Philox draws of :func:`mc_estimate`'s batches with weights 1/n.
     Points have shape (n, d).
     """
+    pts, wts = zip(*_rule_batches(scheme, cols))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+def _rule_batches(scheme, cols):
+    """The rule of :func:`gauss_rule` in pieces: the whole tensor grid, or
+    one piece per Philox batch of draws."""
     cols = _live_columns(cols)
     m = cols.shape[1]
     if scheme.kind == "monte_carlo" and m > 0:
-        xi = np.concatenate([gen.standard_normal((size, m)) for gen, size
-                             in _philox_batches(scheme.seed, scheme.samples)])
-        return xi @ cols.T, np.full(len(xi), 1.0 / len(xi))
-    pts, wts = gh_tensor(m, scheme.nodes)
-    return pts @ cols.T, wts
+        for gen, size in _philox_batches(scheme.seed, scheme.samples):
+            yield (gen.standard_normal((size, m)) @ cols.T,
+                   np.full(size, 1.0 / scheme.samples))
+    else:
+        pts, wts = gh_tensor(m, scheme.nodes)
+        yield pts @ cols.T, wts
 
 
 def _gauss_average(f, means, cols, scheme):
     """E[f(mean + cols @ xi)] for every row of ``means`` (m, d), over the one
     rule gauss_rule(scheme, cols) that all rows share; returns shape (m,).
 
-    The loop runs over the shorter axis, rows or rule points (rule points on
-    a tie), and f gets the other axis as one batch: the rule around one
-    mean, or all means shifted by one rule point, column-major so that f
-    reads each coordinate contiguously.  Under Monte Carlo with a tolerance,
-    SchemeTooCoarse is raised when the standard error of any row, from its
-    centred second moment, exceeds ``tolerance * max(1, |value|)``.
+    The rule is taken one piece of :func:`_rule_batches` at a time, so a
+    Monte Carlo rule is never held whole.  Within a piece the loop runs over
+    the shorter axis, rows or rule points (rule points on a tie), and f gets
+    the other axis as one batch: the piece around one mean, or all means
+    shifted by one rule point, column-major so that f reads each coordinate
+    contiguously.  Under Monte Carlo with a tolerance, SchemeTooCoarse is
+    raised when the standard error of any row, from its centred second
+    moment, exceeds ``tolerance * max(1, |value|)``.
     """
-    disp, w = gauss_rule(scheme, cols)
-    n = len(w)
-    check = scheme.kind == "monte_carlo" and scheme.tolerance is not None and n > 1
-    m2 = np.zeros(len(means))
-    if len(means) < n:
-        out = np.empty(len(means))
-        for i, mean in enumerate(means):
-            vals = eval_batch(f, mean + disp)
-            out[i] = np.dot(w, vals)
-            if check:
-                m2[i] = np.sum((vals - out[i]) ** 2)
-    else:
-        base = np.asfortranarray(means)
-        out = np.zeros(len(means))
-        run = np.zeros(len(means))
-        for j in range(n):
-            vals = eval_batch(f, base + disp[j])
-            out += w[j] * vals
-            if check:
-                # Welford's update of the running mean and centred moment
-                delta = vals - run
-                run += delta / (j + 1)
-                m2 += delta * (vals - run)
-    if check:
-        err = np.sqrt(m2 / ((n - 1) * n))
+    rows = len(means)
+    check = scheme.kind == "monte_carlo" and scheme.tolerance is not None
+    out = np.zeros(rows)
+    run = np.zeros(rows)
+    m2 = np.zeros(rows)
+    base = np.asfortranarray(means)
+    done = 0
+    for disp, w in _rule_batches(scheme, cols):
+        size = len(w)
+        if rows < size:
+            for i, mean in enumerate(means):
+                vals = eval_batch(f, mean + disp)
+                out[i] += np.dot(w, vals)
+                if check:
+                    batch_mean = np.mean(vals)
+                    run[i], m2[i] = _merge_moments(
+                        run[i], m2[i], done, batch_mean,
+                        np.sum((vals - batch_mean) ** 2), size)
+        else:
+            for j in range(size):
+                vals = eval_batch(f, base + disp[j])
+                out += w[j] * vals
+                if check:
+                    run, m2 = _merge_moments(run, m2, done + j, vals, 0.0, 1)
+        done += size
+    if check and done > 1:
+        err = np.sqrt(m2 / ((done - 1) * done))
         bad = err > scheme.tolerance * np.maximum(1.0, np.abs(out))
         if bad.any():
             raise SchemeTooCoarse(

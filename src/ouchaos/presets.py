@@ -3,7 +3,9 @@
 Three families with closed-form rate integrals and explicit decay data:
 a diagonal drift modulated by arctan with oscillating noise, the scalar
 drift model of Malliavin calculus, and the 1-D Dirichlet Laplacian with
-smoothed constant noise.
+smoothed constant noise.  The constant-coefficient models (heat1d,
+malliavin_const and the command line's inline models) come from one
+constructor whose covariance Q(t,s) is in closed form.
 """
 
 import math
@@ -15,6 +17,9 @@ from .evolution import EvolutionFamily, NoiseFamily, OUModel, pst_contraction
 
 __all__ = ["diag_arctan_preset", "malliavin_preset", "heat1d_preset",
            "build_preset", "PRESET_NAMES"]
+
+# times at which malliavin_preset estimates sups and checks monotonicity
+_PROBE = np.linspace(-12.0, 12.0, 961)
 
 
 def _arctan_primitive(tau):
@@ -88,14 +93,11 @@ def malliavin_preset(a, b_modes, d, a_integral=None, a_sup=None,
     d = int(d)
     if d != len(b_modes):
         raise ValueError("d must match the number of noise modes")
-    probe = np.linspace(-12.0, 12.0, 961)
     if a_sup is None:
-        a_sup = float(np.max(np.asarray(a(probe), dtype=float)))
-    if a_sup >= 0.0:
-        raise HypothesisFailed("sup a = %g is not negative" % a_sup)
+        a_sup = float(np.max(np.asarray(a(_PROBE), dtype=float)))
     cee = float(monotone_const)
     if noise_sups is None:
-        noise_sups = [float(np.max(np.abs(np.asarray(b(probe), dtype=float))))
+        noise_sups = [float(np.max(np.abs(np.asarray(b(_PROBE), dtype=float))))
                       for b in b_modes]
 
     rates = [a] * d
@@ -105,16 +107,26 @@ def malliavin_preset(a, b_modes, d, a_integral=None, a_sup=None,
     model = OUModel(family, noise, mode_decay=np.full(d, a_sup),
                     mode_noise_sup=np.asarray(noise_sups, dtype=float),
                     envelope=cee)
+    _malliavin_checks(model, a_sup, cee, check_grid)
+    return model
 
+
+def _malliavin_checks(model, a_sup, cee, check_grid=None):
+    """Require a_sup < 0, then spot-check the noise monotonicity premise
+    with constant cee and the Cameron-Martin bound
+    ||U(t,s)|| <= min{1, cee e^{a_sup (t-s)}} on the (s, t) pairs of
+    check_grid; failures raise HypothesisFailed."""
+    if a_sup >= 0.0:
+        raise HypothesisFailed("sup a = %g is not negative" % a_sup)
     if check_grid is None:
         check_grid = [(-1.0, -0.75), (-1.0, 0.0), (-1.0, 2.0),
                       (0.0, 0.5), (0.0, 3.0)]
-    b_probe = np.abs(noise.diag_values(probe))
+    b_probe = np.abs(model.noise.diag_values(_PROBE))
     for (s, t) in check_grid:
-        earlier = probe < t
+        earlier = _PROBE < t
         if earlier.any():
             worst = np.max(b_probe[earlier], axis=0)
-            b_t = np.abs(noise.diag_values(t))
+            b_t = np.abs(model.noise.diag_values(t))
             if np.any(worst > cee * b_t * (1.0 + 1e-8)):
                 raise HypothesisFailed(
                     "noise monotonicity constant %g too small at t=%g"
@@ -125,7 +137,6 @@ def malliavin_preset(a, b_modes, d, a_integral=None, a_sup=None,
             raise HypothesisFailed(
                 "||U(%g,%g)|| = %.6g exceeds min{1, C e^{a0 dt}} = %.6g"
                 % (t, s, norm, bound))
-    return model
 
 
 def heat1d_preset(gamma_exp, d):
@@ -137,13 +148,16 @@ def heat1d_preset(gamma_exp, d):
     if d < 1:
         raise ValueError("d must be at least 1")
     ks = np.arange(1, d + 1).astype(float)
-    lam = -(ks ** 2)
-    sups = ks ** (-2.0 * gamma_exp)
-    family = EvolutionFamily.diagonal_constant(lam)
-    noise = NoiseFamily.diagonal(
-        [(lambda t, v=float(v): np.full_like(np.asarray(t, dtype=float), v))
-         for v in sups], bound=float(sups.max()))
-    return OUModel(family, noise, mode_decay=lam, mode_noise_sup=sups)
+    return _constant_model(-(ks ** 2), ks ** (-2.0 * gamma_exp))
+
+
+def _constant_model(rates, consts):
+    """Diagonal model with constant rates lambda_k and constant noise b_k,
+    whose covariance Q(t,s) is in closed form."""
+    rates = np.asarray(rates, dtype=float)
+    noise = NoiseFamily.diagonal_constant(consts)
+    return OUModel(EvolutionFamily.diagonal_constant(rates), noise,
+                   mode_decay=rates, mode_noise_sup=np.abs(noise.constants))
 
 
 PRESET_NAMES = ("diag_arctan", "malliavin_const", "heat1d")
@@ -165,13 +179,11 @@ def build_preset(name, params):
         consts = params.pop("noise_consts", None)
         dim = _take_dim(params, 2 if consts is None else len(consts))
         consts = [1.0] * dim if consts is None else [float(v) for v in consts]
-        modes = [(lambda t, v=v: np.full_like(np.asarray(t, dtype=float), v))
-                 for v in consts]
-        return malliavin_preset(
-            lambda t: np.full_like(np.asarray(t, dtype=float), rate),
-            modes, dim,
-            a_integral=lambda s, t: rate * (t - np.asarray(s, dtype=float)),
-            a_sup=rate, noise_sups=consts)
+        if dim != len(consts):
+            raise ValueError("d must match the number of noise modes")
+        model = _constant_model([rate] * dim, consts)
+        _malliavin_checks(model, rate, 1.0)
+        return model
     if name == "heat1d":
         return heat1d_preset(params.pop("gamma_exp", 0.0),
                              _take_dim(params, 4))

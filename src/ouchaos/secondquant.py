@@ -241,8 +241,8 @@ def gamma_integral_apply(T, f, x, scheme=None):
 def _average_at(f, a, x, cols, scheme):
     """E[f(a x + cols @ xi)] at one point x (a float) or a batch (m,).
 
-    One point goes through gauss_expect, whose Monte Carlo branch streams
-    its draws batch by batch instead of holding the whole rule.
+    One point goes through gauss_expect, whose Monte Carlo branch is
+    mc_estimate; a batch goes through _gauss_average.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim > 2:

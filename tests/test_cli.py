@@ -6,6 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from ouchaos import evolution
 from ouchaos.cli import main
 
 
@@ -27,6 +28,45 @@ def parse_csv(text):
 
 
 CONSTANT_MODEL = {"inline": {"rates": [-1.0, -1.0], "noise_consts": [1.0, 1.0]}}
+
+
+class TestConstantModelsSkipQuadrature:
+    """Constant-coefficient models get Q(t,s) in closed form: panel
+    quadrature never runs while they are built or swept."""
+
+    MODELS = {
+        "heat1d": {"preset": "heat1d", "params": {"gamma_exp": 0.25, "dim": 3}},
+        "malliavin_const": {"preset": "malliavin_const", "params": {
+            "rate_const": -0.8, "noise_consts": [1.0, 0.7, 1.2]}},
+        "inline": CONSTANT_MODEL,
+        "diag_arctan": {"preset": "diag_arctan", "params": {"dim": 2}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_panel_integrate_runs_only_for_diag_arctan(self, name, runner,
+                                                       tmp_path, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args[1:3])
+            raise RuntimeError("panel quadrature called")
+
+        monkeypatch.setattr(evolution, "panel_integrate", refuse)
+        sweep = {"s": [-0.5, 0.0], "t": [0.4, 1.5]}
+        configs = {
+            "hyper-scan": {"sweep": dict(sweep, p=[2.0, 3.5])},
+            "decay": {"sweep": sweep, "f": {"kind": "coordinate", "index": 1}},
+            "hs-table": {"sweep": sweep, "max_degree": 20},
+        }
+        codes = []
+        for cmd, cfg in configs.items():
+            path = write_config(tmp_path, cmd + ".json",
+                                dict(cfg, model=self.MODELS[name]))
+            codes.append(runner.invoke(main, [cmd, "--config", path]).exit_code)
+        if name == "diag_arctan":
+            assert calls and codes == [1, 1, 1]
+        else:
+            assert not calls and codes == [0, 0, 0]
 
 
 class TestVerify:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ouchaos import numerics
 from ouchaos.chaos import enumerate_up_to
+from ouchaos.cli import _model_from
 from ouchaos.errors import (HypothesisFailed, NoDecay, NotContraction,
                             SchemeTooCoarse)
 from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
@@ -13,7 +15,8 @@ from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
 from ouchaos.gaussian import range_ratio_norm, white_noise
 from ouchaos.numerics import QuadScheme, panel_integrate, psd_sqrt
 from ouchaos.presets import build_preset
-from ouchaos.secondquant import gamma_integral_apply, lq_norm_gamma, x_extension
+from ouchaos.secondquant import (gamma_integral_apply, lq_norm_gamma,
+                                 mehler_factors, x_extension)
 
 
 def constant_model(lams):
@@ -93,6 +96,39 @@ def test_q_ts_self_consistency_under_refinement():
 
     finer = panel_integrate(integrand, s, t, order=12, max_refine=18, rtol=1e-13)
     assert np.diag(q) == pytest.approx(finer, abs=1e-10)
+
+
+CONSTANT_MODELS = {
+    "heat1d": lambda: build_preset("heat1d", {"gamma_exp": 0.25, "dim": 5}),
+    "malliavin_const": lambda: build_preset(
+        "malliavin_const", {"rate_const": -0.8, "noise_consts": [1.0, 0.6, 1.4]}),
+    "inline": lambda: _model_from({"model": {"inline": {
+        "rates": [-0.3, -2.0], "noise_consts": [0.5, 2.0]}}}, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_MODELS))
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (-2.5, 0.4), (-16.0, 0.0)])
+def test_q_ts_closed_form_matches_quadrature(name, s, t):
+    model = CONSTANT_MODELS[name]()
+    q = model.q_ts(s, t)
+
+    def integrand(r):
+        growth = model.family.rate_integral(r, t)
+        return np.exp(2.0 * growth) * model.noise.diag_values(r) ** 2
+
+    finer = panel_integrate(integrand, s, t, order=12, max_refine=18, rtol=1e-13)
+    assert np.count_nonzero(q - np.diag(np.diag(q))) == 0
+    assert np.diag(q) == pytest.approx(finer, abs=1e-10)
+
+
+def test_q_ts_closed_form_at_zero_rate():
+    model = _model_from({"model": {"inline": {
+        "rates": [0.0, -1.0], "noise_consts": [1.5, 1.0]}}}, 0)
+    s, t = -0.4, 1.1
+    q = np.diag(model.q_ts(s, t))
+    assert q[0] == pytest.approx(1.5 ** 2 * (t - s), rel=1e-15)
+    assert q[1] == pytest.approx(-math.expm1(-2.0 * (t - s)) / 2.0, rel=1e-15)
 
 
 def test_q_t_inf_constant_closed_form():
@@ -220,6 +256,37 @@ def test_batch_monte_carlo_tolerance_applies_to_each_row():
         pst_apply(model, f, 0.0, 0.5, near, scheme)
     with pytest.raises(SchemeTooCoarse):
         pst_apply(model, f, 0.0, 0.5, np.stack([far, far, near]), scheme)
+
+
+@pytest.mark.parametrize("route", ["pst_apply", "gamma_integral_apply",
+                                   "lq_norm_gamma"])
+def test_monte_carlo_batches_match_the_whole_rule(route, monkeypatch):
+    # 500 draws in Philox batches of 64 give the average over the whole
+    # rule of gauss_rule, as when all draws were held at once
+    monkeypatch.setattr(numerics, "_MC_BATCH", 64)
+    model = wavy_model()
+    s, t = 0.2, 0.9
+    scheme = QuadScheme.monte_carlo(500, seed=6)
+    f = lambda p: np.sin(p[:, 0]) * p[:, 1] ** 2 + p[:, 0]
+    ell = pst_contraction(model, s, t)
+    a, cols = mehler_factors(ell)
+    pts, w = numerics.gauss_rule(scheme, cols)
+    xs = np.random.default_rng(3).standard_normal((5, 2))
+    if route == "lq_norm_gamma":
+        outer = QuadScheme.gauss_hermite(3)
+        got = lq_norm_gamma(ell, f, 1.5, outer, inner_scheme=scheme)
+        ys, wy = numerics.gauss_rule(outer, ell.nu.sqrt_cols())
+        inner = np.array([np.dot(w, f(a @ y + pts)) for y in ys])
+        want = np.dot(wy, np.abs(inner) ** 1.5) ** (1.0 / 1.5)
+    else:
+        if route == "pst_apply":
+            got = pst_apply(model, f, s, t, xs, scheme)
+            a, cols = model.u(t, s), psd_sqrt(model.q_ts(s, t))
+            pts, w = numerics.gauss_rule(scheme, cols)
+        else:
+            got = gamma_integral_apply(ell, f, xs, scheme)
+        want = np.array([np.dot(w, f(a @ x + pts)) for x in xs])
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_isometry_inner_average_loops_over_its_rule():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ouchaos import numerics
 from ouchaos.errors import QuadratureFailure, SchemeTooCoarse
 from ouchaos.numerics import (QuadScheme, _gauss_average, eval_batch,
                               gauss_expect, gauss_expect_err, gauss_rule,
@@ -107,6 +108,13 @@ def test_eval_batch_propagates_genuine_errors_from_the_first_call(error):
     assert calls == [5]
 
 
+def test_eval_batch_lets_warnings_of_f_through():
+    pts = np.array([[1.0], [-1.0]])
+    with pytest.warns(RuntimeWarning):
+        out = eval_batch(lambda p: np.log(p[:, 0]), pts)
+    assert out[0] == 0.0 and np.isnan(out[1])
+
+
 def test_gauss_rule_monte_carlo_draws_are_those_of_mc_estimate():
     # 70 000 samples span two Philox batches; the zero column is pruned
     scheme = QuadScheme.monte_carlo(70_000, seed=5)
@@ -148,22 +156,51 @@ def test_monte_carlo_tolerance_enforced():
 
 
 @pytest.mark.parametrize("rows", [3, 60])
-def test_gauss_average_tolerance_is_each_rows_standard_error(rows):
+def test_gauss_average_tolerance_is_each_rows_standard_error(rows, monkeypatch):
     # 40 draws against 3 rows loop over the rows, against 60 rows over the
-    # draws; either way the worst row's standard error sets the threshold
+    # draws; either way the worst row's standard error sets the threshold,
+    # also when the draws come in Philox batches of 16
     cols = np.array([[0.8, 0.0], [0.3, 0.5]])
     f = lambda p: np.exp(0.5 * p[:, 0]) + p[:, 1] ** 2
     means = np.random.default_rng(8).standard_normal((rows, 2))
-    pts, _ = gauss_rule(QuadScheme.monte_carlo(40, seed=2), cols)
-    vals = np.array([f(m + pts) for m in means])
-    err = vals.std(axis=1, ddof=1) / math.sqrt(40)
-    worst = float(np.max(err / np.maximum(1.0, np.abs(vals.mean(axis=1)))))
-    out = _gauss_average(f, means, cols, QuadScheme.monte_carlo(
-        40, seed=2, tolerance=worst * (1.0 + 1e-9)))
-    assert out == pytest.approx(vals.mean(axis=1), rel=1e-14)
-    with pytest.raises(SchemeTooCoarse):
-        _gauss_average(f, means, cols, QuadScheme.monte_carlo(
-            40, seed=2, tolerance=worst * (1.0 - 1e-9)))
+    for batch in (numerics._MC_BATCH, 16):
+        monkeypatch.setattr(numerics, "_MC_BATCH", batch)
+        pts, _ = gauss_rule(QuadScheme.monte_carlo(40, seed=2), cols)
+        vals = np.array([f(m + pts) for m in means])
+        err = vals.std(axis=1, ddof=1) / math.sqrt(40)
+        worst = float(np.max(err / np.maximum(1.0, np.abs(vals.mean(axis=1)))))
+        out = _gauss_average(f, means, cols, QuadScheme.monte_carlo(
+            40, seed=2, tolerance=worst * (1.0 + 1e-9)))
+        assert out == pytest.approx(vals.mean(axis=1), rel=1e-14)
+        with pytest.raises(SchemeTooCoarse):
+            _gauss_average(f, means, cols, QuadScheme.monte_carlo(
+                40, seed=2, tolerance=worst * (1.0 - 1e-9)))
+
+
+@pytest.mark.parametrize("rows", [3, 40])
+def test_gauss_average_streams_monte_carlo_batches(rows, monkeypatch):
+    # 100 draws in batches of 16: f sees one batch around one mean, or all
+    # rows shifted by one draw, never the whole rule
+    monkeypatch.setattr(numerics, "_MC_BATCH", 16)
+    scheme = QuadScheme.monte_carlo(100, seed=4)
+    cols = np.array([[0.8, 0.0], [0.3, 0.5]])
+    means = np.random.default_rng(2).standard_normal((rows, 2))
+    sizes = []
+
+    def f(p):
+        sizes.append(len(p))
+        return np.exp(0.5 * p[:, 0]) + p[:, 1] ** 2
+
+    out = _gauss_average(f, means, cols, scheme)
+    if rows < 16:
+        assert sizes == [16] * (6 * rows) + [4] * rows
+    else:
+        assert sizes == [rows] * 100
+    pts, w = gauss_rule(scheme, cols)
+    assert pts.shape == (100, 2)
+    want = [np.dot(w, np.exp(0.5 * (m + pts)[:, 0]) + (m + pts)[:, 1] ** 2)
+            for m in means]
+    assert out == pytest.approx(want, rel=1e-12)
 
 
 def test_mc_stderr_shrinks_like_sqrt_n():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from ouchaos import presets
+from ouchaos.cli import _model_from
 from ouchaos.errors import ConfigInvalid, HypothesisFailed
 from ouchaos.evolution import (bignamini_check, hyper_threshold,
                                pst_contraction)
@@ -205,3 +207,56 @@ class TestBuildPreset:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigInvalid):
             build_preset("heat1d", {"gamma_exp": 0.0, "dim": 3, "tilt": 1})
+
+
+class TestConstantModels:
+    """heat1d, malliavin_const and the CLI's inline model share one
+    constructor with a closed-form covariance."""
+
+    @pytest.mark.parametrize("model, decay, sups", [
+        (build_preset("heat1d", {"gamma_exp": 0.25, "dim": 3}),
+         [-1.0, -4.0, -9.0], [1.0, 2.0 ** -0.5, 3.0 ** -0.5]),
+        (build_preset("malliavin_const",
+                      {"rate_const": -0.7, "noise_consts": [0.5, 1.5]}),
+         [-0.7, -0.7], [0.5, 1.5]),
+        (_model_from({"model": {"inline": {"rates": [-1.0, -2.0],
+                                           "noise_consts": [2.0, 1.0]}}}, 0),
+         [-1.0, -2.0], [2.0, 1.0]),
+    ], ids=["heat1d", "malliavin_const", "inline"])
+    def test_decay_data_of_the_shared_constructor(self, model, decay, sups):
+        assert model.family.constants == pytest.approx(decay, rel=1e-15)
+        assert model.noise.constants == pytest.approx(sups, rel=1e-15)
+        assert model.mode_decay == pytest.approx(decay, rel=1e-15)
+        assert model.mode_noise_sup == pytest.approx(sups, rel=1e-15)
+        assert model.noise.bound == max(sups)
+        assert model.envelope == 1.0
+        assert model.lambda0 == max(decay)
+
+    def test_malliavin_const_matches_the_generic_preset(self):
+        consts = [0.5, 1.5]
+        fast = build_preset("malliavin_const",
+                            {"rate_const": -0.7, "noise_consts": consts})
+        slow = default_malliavin(2, -0.7, consts)
+        for attr in ("mode_decay", "mode_noise_sup", "lambda0"):
+            assert getattr(fast, attr) == pytest.approx(getattr(slow, attr),
+                                                        rel=1e-15)
+        assert (fast.noise.bound, fast.envelope) == (slow.noise.bound,
+                                                      slow.envelope)
+        assert fast.q_t_inf(0.3)[0] == pytest.approx(slow.q_t_inf(0.3)[0],
+                                                     abs=1e-12)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_malliavin_const_rejects_a_nonnegative_rate(self, rate):
+        with pytest.raises(HypothesisFailed, match="not negative"):
+            build_preset("malliavin_const", {"rate_const": rate, "dim": 2})
+
+    def test_malliavin_const_runs_the_spot_checks(self, monkeypatch):
+        pairs = []
+
+        def counting(model, s, t):
+            pairs.append((s, t))
+            return pst_contraction(model, s, t)
+
+        monkeypatch.setattr(presets, "pst_contraction", counting)
+        build_preset("malliavin_const", {"rate_const": -1.0, "dim": 2})
+        assert len(pairs) == 5
