@@ -114,13 +114,12 @@ class NoiseFamily:
         return cls(None, len(funcs), funcs=list(funcs), bound=bound)
 
     @classmethod
-    def diagonal_constant(cls, values, bound=None):
-        """Family diag(b_k) with constant b_k; bound defaults to max |b_k|."""
+    def diagonal_constant(cls, values):
+        """Family diag(b_k) with constant b_k, bounded by max |b_k|."""
         values = np.asarray(values, dtype=float)
         funcs = [(lambda t, v=v: np.full_like(np.asarray(t, dtype=float), v))
                  for v in values]
-        self = cls.diagonal(funcs, bound=float(np.abs(values).max())
-                            if bound is None else bound)
+        self = cls.diagonal(funcs, bound=float(np.abs(values).max()))
         self.constants = values
         return self
 

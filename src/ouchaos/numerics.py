@@ -190,7 +190,10 @@ def gauss_rule(scheme, cols):
     Philox draws of :func:`mc_estimate`'s batches with weights 1/n.
     Points have shape (n, d).
     """
-    pts, wts = zip(*_rule_batches(scheme, cols))
+    pieces = list(_rule_batches(scheme, cols))
+    if len(pieces) == 1:
+        return pieces[0]
+    pts, wts = zip(*pieces)
     return np.concatenate(pts), np.concatenate(wts)
 
 
