@@ -9,10 +9,11 @@ time-dependent noise intensity B(t).  The two covariance integrals
 define the transition kernel of P_{s,t} and the evolution system of measures
 gamma_t = N(0, Q(t,-inf)).  The infinite lower limit is truncated by an
 analytic exponential tail certificate, never by eyeballing convergence.
-Models built from constant per-mode rates and noise (both families made by
-``diagonal_constant``) get Q(t,s) in closed form; other diagonal models
-integrate all modes in one vector-valued panel sweep, and everything else
-goes through dense matrix quadrature.
+A diagonal family evaluates all of its modes in one call (``diagonal``
+stacks per-mode callables into it).  Models built from constant per-mode
+rates and noise (both families made by ``diagonal_constant``) get Q(t,s) in
+closed form; other diagonal models integrate all modes in one vector-valued
+panel sweep, and everything else goes through dense matrix quadrature.
 
 P_{s,t} is exposed both as a Gaussian average and through second
 quantization: the restriction of U(t,s) to the Cameron-Martin space of
@@ -40,14 +41,16 @@ STATIONARY_OFFDIAG_TOL = 1e-10
 
 
 class EvolutionFamily:
-    """Evolution operator u(t, s); diagonal families carry per-mode rates,
-    and constant ones their rates lambda_k as ``constants``."""
+    """Evolution operator u(t, s); diagonal families carry one callable for
+    all int_s^t a_k, and constant ones their rates lambda_k as ``constants``."""
 
-    def __init__(self, u_fn, dim, rates=None, rate_integrals=None):
+    def __init__(self, u_fn, dim, rates=None, rate_integral=None):
         self._u_fn = u_fn
         self.dim = int(dim)
         self.rates = rates
-        self._rate_integrals = rate_integrals
+        if rate_integral is None and rates is not None:
+            rate_integral = _stacked([_adaptive_integral(a) for a in rates])
+        self._rate_integral = rate_integral
         self.constants = None
 
     @classmethod
@@ -55,42 +58,28 @@ class EvolutionFamily:
         """Family diag(exp(int_s^t a_k)).  rate_integrals[k](s, t) must return
         int_s^t a_k and accept array-valued s; without them the integrals are
         computed adaptively per call (correct but slow)."""
-        d = len(rates)
-        self = cls(None, d, rates=list(rates), rate_integrals=rate_integrals)
-        return self
+        return cls(None, len(rates), rates=list(rates),
+                   rate_integral=None if rate_integrals is None
+                   else _stacked(rate_integrals))
 
     @classmethod
     def diagonal_constant(cls, lams):
         lams = np.asarray(lams, dtype=float)
-        rates = [(lambda t, lam=lam: lam + 0.0 * np.asarray(t)) for lam in lams]
-        integrals = [(lambda s, t, lam=lam: lam * (t - np.asarray(s, dtype=float)))
-                     for lam in lams]
-        self = cls.diagonal(rates, integrals)
+        self = cls(None, len(lams),
+                   rate_integral=lambda s, t: lams * (t - s)[..., None])
         self.constants = lams
         return self
 
     @property
     def is_diagonal(self):
-        return self.rates is not None
+        return self._rate_integral is not None
 
     def rate_integral(self, s, t):
         """Vector of int_s^t a_k, with s scalar or array (then shape (m, d))."""
         if not self.is_diagonal:
             raise ValueError("rate integrals exist only for diagonal families")
         s_arr = np.asarray(s, dtype=float)
-        if self._rate_integrals is not None:
-            cols = [np.asarray(g(s_arr, t), dtype=float) for g in self._rate_integrals]
-        else:
-            def one(lo, k):
-                return float(panel_integrate(
-                    lambda r, k=k: np.asarray(self.rates[k](r), dtype=float),
-                    lo, t)) if lo < t else -float(panel_integrate(
-                        lambda r, k=k: np.asarray(self.rates[k](r), dtype=float),
-                        t, lo))
-            cols = [np.vectorize(lambda lo, k=k: one(lo, k))(s_arr)
-                    for k in range(self.dim)]
-        out = np.stack(cols, axis=-1)
-        return out if s_arr.ndim else out.reshape(self.dim)
+        return _shaped(self._rate_integral(s_arr, t), s_arr.shape + (self.dim,))
 
     def __call__(self, t, s):
         if self.is_diagonal:
@@ -99,47 +88,69 @@ class EvolutionFamily:
 
 
 class NoiseFamily:
-    """Noise intensity b(t); diagonal families carry per-mode functions,
-    and constant ones their values b_k as ``constants``."""
+    """Noise intensity b(t); diagonal families carry one callable for all
+    b_k(t), and constant ones their values b_k as ``constants``."""
 
-    def __init__(self, b_fn, dim, funcs=None, bound=None):
+    def __init__(self, b_fn, dim, values=None, bound=None):
         self._b_fn = b_fn
         self.dim = int(dim)
-        self.funcs = funcs
+        self._values = values
         self.bound = bound
         self.constants = None
 
     @classmethod
     def diagonal(cls, funcs, bound=None):
-        return cls(None, len(funcs), funcs=list(funcs), bound=bound)
+        """Family diag(b_k(t)) from per-mode callables funcs[k](t)."""
+        return cls(None, len(funcs), values=_stacked(funcs), bound=bound)
 
     @classmethod
     def diagonal_constant(cls, values):
         """Family diag(b_k) with constant b_k, bounded by max |b_k|."""
         values = np.asarray(values, dtype=float)
-        funcs = [(lambda t, v=v: np.full_like(np.asarray(t, dtype=float), v))
-                 for v in values]
-        self = cls.diagonal(funcs, bound=float(np.abs(values).max()))
+        self = cls(None, len(values), values=lambda t: np.broadcast_to(
+            values, t.shape + values.shape), bound=float(np.abs(values).max()))
         self.constants = values
         return self
 
     @property
     def is_diagonal(self):
-        return self.funcs is not None
+        return self._values is not None
 
     def diag_values(self, t):
         """b_k(t) for scalar or array t (then shape (m, d))."""
         t_arr = np.asarray(t, dtype=float)
-        cols = [np.broadcast_to(np.asarray(f(t_arr), dtype=float), t_arr.shape)
-                if t_arr.ndim else np.asarray(f(t_arr), dtype=float)
-                for f in self.funcs]
-        out = np.stack(cols, axis=-1)
-        return out if t_arr.ndim else out.reshape(self.dim)
+        return _shaped(self._values(t_arr), t_arr.shape + (self.dim,))
 
     def __call__(self, t):
         if self.is_diagonal:
             return np.diag(self.diag_values(t))
         return np.asarray(self._b_fn(t), dtype=float)
+
+
+def _shaped(values, shape):
+    # a broadcast costs microseconds, several per panel level, so values
+    # that already have the shape pass as they are
+    out = np.asarray(values, dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
+def _stacked(per_mode):
+    """Per-mode callables as one, their values broadcast and stacked."""
+    def call(*args):
+        return np.stack(np.broadcast_arrays(
+            *[np.asarray(g(*args), dtype=float) for g in per_mode]), axis=-1)
+    return call
+
+
+def _adaptive_integral(rate):
+    """int_s^t a by panel quadrature, one s at a time."""
+    def a(r):
+        return np.asarray(rate(r), dtype=float)
+
+    def one(lo, t):
+        return (float(panel_integrate(a, lo, t)) if lo < t
+                else -float(panel_integrate(a, t, lo)))
+    return np.vectorize(one)
 
 
 class OUModel:

@@ -13,6 +13,7 @@ and the sample count, never on scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -313,7 +314,7 @@ def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):
     if b == a:
         probe = np.asarray(f(np.array([a], dtype=float)), dtype=float)
         return np.zeros(probe.shape[1:])
-    xg, wg = leggauss(order)
+    xg, wg = _legendre_rule(order)
     half = 0.5 * (b - a)
     sums = _panel_sums(f, np.array([a, a, a + half]),
                        np.array([b - a, half, half]), xg, wg)
@@ -346,6 +347,15 @@ def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):
             (len(child_lo), 2) + child_halves.shape[1:])])
     raise QuadratureFailure(
         f"panel integration on [{a}, {b}] did not converge in {max_refine} refinements")
+
+
+@functools.lru_cache
+def _legendre_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
+    rule = leggauss(order)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def _panel_sums(f, lo, width, xg, wg):

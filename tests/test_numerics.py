@@ -285,6 +285,22 @@ def test_panel_integrate_evaluates_each_level_in_one_call():
     assert calls[0] == 3 * 8
 
 
+def test_panel_integrate_reuses_a_read_only_legendre_rule():
+    def f(r):
+        return np.abs(r - 0.3)[:, None] * np.array([1.0, np.pi])
+
+    first = panel_integrate(f, -1.0, 1.0, order=6)
+    assert np.array_equal(panel_integrate(f, -1.0, 1.0, order=6), first)
+    xg, wg = numerics._legendre_rule(6)
+    assert numerics._legendre_rule(6)[0] is xg
+    want = np.polynomial.legendre.leggauss(6)
+    assert np.array_equal(xg, want[0]) and np.array_equal(wg, want[1])
+    for arr in (xg, wg):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert np.array_equal(numerics._legendre_rule(6)[1], want[1])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=9))
 def test_gauss_expect_matches_normal_moments(k):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ouchaos import presets
+from ouchaos import evolution, presets
 from ouchaos.cli import _model_from
 from ouchaos.errors import ConfigInvalid, HypothesisFailed
-from ouchaos.evolution import (bignamini_check, hyper_threshold,
+from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
+                               bignamini_check, hyper_threshold,
                                pst_contraction)
 from ouchaos.numerics import panel_integrate
 from ouchaos.presets import (build_preset, diag_arctan_preset, heat1d_preset,
@@ -250,13 +251,125 @@ class TestConstantModels:
         with pytest.raises(HypothesisFailed, match="not negative"):
             build_preset("malliavin_const", {"rate_const": rate, "dim": 2})
 
-    def test_malliavin_const_runs_the_spot_checks(self, monkeypatch):
-        pairs = []
+    @pytest.mark.parametrize("rate, consts", [(-1.0, [1.0, 1.0]),
+                                              (-0.7, [0.5, 1.5, 0.0])])
+    def test_malliavin_const_meets_the_spot_check_bound(self, monkeypatch,
+                                                        rate, consts):
+        # the build skips the spot checks of malliavin_preset, whose bounds
+        # hold by construction; they are asserted here on the built model
+        calls = []
+        monkeypatch.setattr(presets, "pst_contraction",
+                            lambda *args: calls.append(args))
+        model = build_preset("malliavin_const",
+                             {"rate_const": rate, "noise_consts": consts})
+        assert not calls
+        for (s, t) in [(-1.0, -0.75), (-1.0, 0.0), (-1.0, 2.0),
+                       (0.0, 0.5), (0.0, 3.0)]:
+            earlier = np.abs(model.noise.diag_values(
+                presets._PROBE[presets._PROBE < t]))
+            b_t = np.abs(model.noise.diag_values(t))
+            assert np.all(earlier.max(axis=0) <= b_t * (1.0 + 1e-8))
+            norm = pst_contraction(model, s, t).op_norm
+            assert norm <= min(1.0, math.exp(rate * (t - s))) * (1.0 + 1e-8)
 
-        def counting(model, s, t):
-            pairs.append((s, t))
-            return pst_contraction(model, s, t)
 
-        monkeypatch.setattr(presets, "pst_contraction", counting)
-        build_preset("malliavin_const", {"rate_const": -1.0, "dim": 2})
-        assert len(pairs) == 5
+def _rebuilt(new, family, noise):
+    return OUModel(family, noise, mode_decay=new.mode_decay,
+                   mode_noise_sup=new.mode_noise_sup, envelope=new.envelope)
+
+
+def arctan_pair():
+    c1, c2, d = 0.9, 1.8, 3
+    new = diag_arctan_preset(c1, c2, d)
+    ks = range(1, d + 1)
+    integrals = [(lambda s, t, k=float(k):
+                  -k ** 2 * (presets._arctan_primitive(t)
+                             - presets._arctan_primitive(s)
+                             + c1 * (t - np.asarray(s, dtype=float))))
+                 for k in ks]
+
+    def noise(t, k):
+        t = np.asarray(t, dtype=float)
+        vals = np.sin(k * t) + c2
+        m = np.round(-t / np.pi)
+        return np.where((m >= 0) & (t == -m * np.pi), 0.0, vals)
+
+    return new, _rebuilt(
+        new, EvolutionFamily.diagonal(new.family.rates, integrals),
+        NoiseFamily.diagonal([lambda t, k=k: noise(t, k) for k in ks],
+                             bound=1.0 + c2))
+
+
+def constant_pair():
+    new = heat1d_preset(0.25, 3)
+    lams, vals = new.family.constants, new.noise.constants
+    family = EvolutionFamily.diagonal(
+        [(lambda t, lam=lam: lam + 0.0 * np.asarray(t)) for lam in lams],
+        [(lambda s, t, lam=lam: lam * (t - np.asarray(s, dtype=float)))
+         for lam in lams])
+    noise = NoiseFamily.diagonal(
+        [(lambda t, v=v: np.full_like(np.asarray(t, dtype=float), v))
+         for v in vals], bound=float(np.abs(vals).max()))
+    family.constants, noise.constants = lams, vals
+    return new, _rebuilt(new, family, noise)
+
+
+def malliavin_pair():
+    def a(t):
+        return -1.2 + 0.3 * np.cos(np.asarray(t, dtype=float))
+
+    def a_integral(s, t):
+        s = np.asarray(s, dtype=float)
+        return -1.2 * (t - s) + 0.3 * (np.sin(t) - np.sin(s))
+
+    # nondecreasing noise meets the monotonicity premise with C = 1
+    b_modes = [(lambda t, k=k: 1.5 + 0.5 * np.tanh(np.asarray(t, dtype=float)) / k)
+               for k in (1, 2)]
+    new = malliavin_preset(a, b_modes, 2, a_integral=a_integral, a_sup=-0.9)
+    return new, _rebuilt(
+        new, EvolutionFamily.diagonal([a] * 2, [a_integral] * 2),
+        NoiseFamily.diagonal(b_modes, bound=new.noise.bound))
+
+
+@pytest.mark.parametrize("pair", [arctan_pair, constant_pair, malliavin_pair],
+                         ids=["diag_arctan", "constant", "malliavin"])
+def test_vector_families_equal_per_mode_lists(pair):
+    # the vector callables against the per-mode lambda lists they replace
+    new, old = pair()
+    times = np.array([0.0, -math.pi, -2.0 * math.pi, 0.4, 0.9, -0.7, 0.3])
+    for t in times:
+        for args in ((t,), (times,)):
+            assert np.array_equal(new.noise.diag_values(*args),
+                                  old.noise.diag_values(*args))
+        for s in (t - 0.5, times):
+            assert np.array_equal(new.family.rate_integral(s, t),
+                                  old.family.rate_integral(s, t))
+    for (s, t) in [(0.0, 0.4), (0.0, 0.9), (-0.7, 0.3)]:
+        assert np.array_equal(new.q_ts(s, t), old.q_ts(s, t))
+        for r in (s, t):
+            assert np.array_equal(new.q_t_inf(r)[0], old.q_t_inf(r)[0])
+        assert np.array_equal(pst_contraction(new, s, t).matrix,
+                              pst_contraction(old, s, t).matrix)
+
+
+def test_arctan_sweep_evaluates_all_modes_in_one_call(monkeypatch):
+    model = diag_arctan_preset(1.0, 2.0, 3)
+    counts = {"levels": 0, "primitive": 0, "noise": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    real_panel = evolution.panel_integrate
+    monkeypatch.setattr(evolution, "panel_integrate", lambda f, *args, **kw:
+                        real_panel(counted("levels", f), *args, **kw))
+    monkeypatch.setattr(presets, "_arctan_primitive",
+                        counted("primitive", presets._arctan_primitive))
+    monkeypatch.setattr(presets, "_oscillating_noise",
+                        counted("noise", presets._oscillating_noise))
+    model.q_ts(0.4 - 16.0, 0.4)
+    assert counts["levels"] > 1
+    assert counts["primitive"] == 2 * counts["levels"]
+    assert counts["noise"] == counts["levels"]
