@@ -220,7 +220,8 @@ class ChaosExpansion:
         self.max_degree = int(max_degree)
         clean = {}
         for alpha, c in coeffs.items():
-            alpha = MultiIndex(alpha)
+            if type(alpha) is not MultiIndex:
+                alpha = MultiIndex(alpha)
             if len(alpha) != measure.dim:
                 raise ValueError("multi-index length does not match the measure")
             if alpha.order > self.max_degree:
@@ -231,7 +232,9 @@ class ChaosExpansion:
         self.residual = residual
 
     def __getitem__(self, alpha):
-        return self.coeffs.get(MultiIndex(alpha), 0.0)
+        if type(alpha) is not MultiIndex:
+            alpha = MultiIndex(alpha)
+        return self.coeffs.get(alpha, 0.0)
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: _colex_key(kv[0]))

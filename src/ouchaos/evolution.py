@@ -227,7 +227,8 @@ class OUModel:
                                max_refine=self.max_refine, rtol=self.trace_tol)
 
     def q_ts(self, s, t):
-        """Covariance of the transition kernel on [s, t]; symmetric PSD."""
+        """Covariance of the transition kernel on [s, t]; symmetric PSD and
+        read-only, since it is cached per (s, t)."""
         if s > t:
             raise ValueError("need s <= t")
         key = (float(s), float(t))
@@ -237,6 +238,7 @@ class OUModel:
             else:
                 q = self._q_dense(s, t)
                 q = 0.5 * (q + q.T)
+            q.flags.writeable = False
             self._q_ts_cache[key] = q
         return self._q_ts_cache[key]
 

@@ -75,30 +75,45 @@ def gh_nodes(n):
     """Nodes and weights of the n-point probabilists' Gauss-Hermite rule.
 
     The weights sum to one, so the rule integrates against the standard
-    normal density and is exact for polynomials of degree 2n - 1.
+    normal density and is exact for polynomials of degree 2n - 1.  The
+    arrays are fresh copies of the rule :func:`_hermite_rule` keeps.
     """
+    x, w = _hermite_rule(n)
+    return x.copy(), w.copy()
+
+
+@functools.lru_cache(maxsize=GH_MAX_NODES)
+def _hermite_rule(n):
+    """The rule of :func:`gh_nodes`, built once per node count and shared
+    read-only by every caller."""
     if not 1 <= n <= GH_MAX_NODES:
         raise ValueError("gauss-hermite rule needs 1 <= n <= 128")
     x, w = hermegauss(n)
-    return x, w / math.sqrt(2.0 * math.pi)
+    return _read_only((x, w / math.sqrt(2.0 * math.pi)))
+
+
+def _read_only(arrays):
+    """The arrays, marked read-only so that a cache can share them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def gh_tensor(dim, n):
-    """Tensor-product Gauss-Hermite grid: points of shape (n**dim, dim) and
-    the matching product weights."""
+    """Tensor-product Gauss-Hermite grid: points of shape (n**dim, dim),
+    the last axis varying fastest, and the matching product weights."""
     if dim == 0:
         return np.zeros((1, 0)), np.ones(1)
     if n ** dim > _GRID_CAP:
         raise SchemeTooCoarse(
             f"tensor grid {n}^{dim} exceeds the size cap; use monte_carlo")
-    x, w = gh_nodes(n)
-    axes = [g.reshape(-1) for g in
-            np.meshgrid(*([np.arange(n)] * dim), indexing="ij")]
-    pts = np.stack([x[i] for i in axes], axis=-1)
-    wts = np.ones(len(pts))
-    for i in axes:
-        wts *= w[i]
-    return pts, wts
+    x, w = _hermite_rule(n)
+    pts = np.empty((n,) * dim + (dim,))
+    wts = np.ones(())
+    for k in range(dim):
+        pts[..., k] = x.reshape((n,) + (1,) * (dim - 1 - k))
+        wts = np.multiply.outer(wts, w)
+    return pts.reshape(-1, dim), wts.reshape(-1)
 
 
 def eval_batch(f, pts):
@@ -352,10 +367,7 @@ def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):
 @functools.lru_cache
 def _legendre_rule(order):
     """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
-    rule = leggauss(order)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+    return _read_only(leggauss(order))
 
 
 def _panel_sums(f, lo, width, xg, wg):

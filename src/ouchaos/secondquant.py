@@ -29,8 +29,8 @@ from .errors import (NotContraction, NotSelfAdjoint, NotStrictContraction,
 from .chaos import ChaosExpansion, MultiIndex, _indices, _symmetric_powers
 from .gaussian import (LinearMap, SpectralGaussian, cm_inner, pinv_sqrt_apply,
                        white_noise)
-from .numerics import (QuadScheme, _gauss_average, gauss_expect, psd_sqrt,
-                       rule_size)
+from .numerics import (QuadScheme, _gauss_average, _read_only, gauss_expect,
+                       psd_sqrt, rule_size)
 
 PERMANENT_MAX_SIZE = 12
 CONTRACTION_SLACK = 1e-12
@@ -60,6 +60,7 @@ class CMContraction:
         self.matrix = m
         self.matrix.flags.writeable = False
         self._svd = None
+        self._mehler = None
 
     @classmethod
     def identity(cls, mu):
@@ -71,7 +72,7 @@ class CMContraction:
 
     def _decomposition(self):
         if self._svd is None:
-            self._svd = np.linalg.svd(self.matrix)
+            self._svd = _read_only(np.linalg.svd(self.matrix))
         return self._svd
 
     @property
@@ -210,17 +211,20 @@ def degree_block(T, n):
 
 def mehler_factors(T):
     """Mean map A = extension of T* and covariance columns of the noise part:
-    Gamma(T)f(x) = E[f(Ax + cols @ xi)] with xi standard normal."""
-    T.require_contraction()
-    m = T.matrix
-    gram_defect = np.eye(T.mu.dim) - m.T @ m
-    try:
-        root = psd_sqrt(gram_defect, neg_tol=CLAMP_REJECT)
-    except ValueError as exc:
-        raise NotContraction(str(exc)) from exc
-    a = x_extension(T.adjoint).matrix
-    cols = np.where(T.mu.support, np.sqrt(T.mu.eigenvalues), 0.0)[:, None] * root
-    return a, cols
+    Gamma(T)f(x) = E[f(Ax + cols @ xi)] with xi standard normal.  Both are
+    computed once per T and returned read-only."""
+    if T._mehler is None:
+        T.require_contraction()
+        m = T.matrix
+        gram_defect = np.eye(T.mu.dim) - m.T @ m
+        try:
+            root = psd_sqrt(gram_defect, neg_tol=CLAMP_REJECT)
+        except ValueError as exc:
+            raise NotContraction(str(exc)) from exc
+        a = x_extension(T.adjoint).matrix
+        cols = np.where(T.mu.support, np.sqrt(T.mu.eigenvalues), 0.0)[:, None] * root
+        T._mehler = _read_only((a, cols))
+    return T._mehler
 
 
 def gamma_integral_apply(T, f, x, scheme=None):

@@ -1,0 +1,148 @@
+"""Shared caches hand out only values no caller can change.
+
+A ``functools.lru_cache`` result, and a factorisation an object keeps for
+later calls, is the same object for every caller; one in-place write would
+change every later result.  Each cached function of the package must be
+listed in SAMPLES with arguments to call it with, so a cache added later
+without an entry fails here.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import numpy as np
+import pytest
+from numpy.polynomial.hermite_e import hermegauss
+
+import ouchaos
+from ouchaos import numerics, secondquant
+from ouchaos.evolution import pst_apply
+from ouchaos.gaussian import SpectralGaussian
+from ouchaos.numerics import QuadScheme, gauss_rule, gh_nodes
+from ouchaos.presets import build_preset
+from ouchaos.secondquant import (CMContraction, gamma_integral_apply,
+                                 mehler_factors)
+
+SAMPLES = {
+    "chaos._indices": [(1, 0), (3, 2)],
+    "chaos._index_tables": [(3, 2)],
+    "chaos._sqrt_factorials": [(3, 2)],
+    "numerics._legendre_rule": [(8,)],
+    "numerics._hermite_rule": [(1,), (12,)],
+}
+
+
+def cached_functions():
+    """module.name of every lru_cache'd function the package defines, at
+    module level or on a class."""
+    found = {}
+    for info in pkgutil.iter_modules(ouchaos.__path__):
+        module = importlib.import_module(f"ouchaos.{info.name}")
+        owners = [vars(module)] + [vars(c) for c in vars(module).values()
+                                   if inspect.isclass(c)
+                                   and c.__module__ == module.__name__]
+        for owner in owners:
+            for name, obj in owner.items():
+                if (hasattr(obj, "cache_info")
+                        and getattr(obj, "__module__", None) == module.__name__):
+                    found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def mutable_parts(value):
+    """Writable arrays and mutable containers reachable through tuples."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.flags.writeable else []
+    if isinstance(value, (list, dict, set, bytearray)):
+        return [value]
+    if isinstance(value, tuple):
+        return [part for item in value for part in mutable_parts(item)]
+    return []
+
+
+def test_every_cache_has_sample_arguments():
+    assert sorted(cached_functions()) == sorted(SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_cached_results_are_read_only(name):
+    fn = cached_functions()[name]
+    for args in SAMPLES[name]:
+        result = fn(*args)
+        assert fn(*args) is result
+        assert mutable_parts(result) == []
+
+
+def test_mutable_parts_sees_writable_arrays():
+    frozen = np.zeros(2)
+    frozen.flags.writeable = False
+    assert mutable_parts((frozen, (1, 2.0))) == []
+    assert len(mutable_parts((frozen, (np.zeros(1), [1])))) == 2
+
+
+def test_gh_nodes_returns_fresh_writable_copies():
+    x, w = gh_nodes(6)
+    assert x.flags.writeable and w.flags.writeable
+    x[0], w[:] = 99.0, 0.0
+    x2, w2 = gh_nodes(6)
+    assert x2[0] != 99.0 and np.sum(w2) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_hermite_rule_is_built_once_per_node_count(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return hermegauss(n)
+
+    monkeypatch.setattr(numerics, "hermegauss", counting)
+    numerics._hermite_rule.cache_clear()
+    mu = SpectralGaussian([1.0, 0.5])
+    t_op = CMContraction(mu, mu, [[0.5, 0.1], [0.0, 0.4]])
+    f = lambda p: p[:, 0] ** 2 * p[:, 1]
+    for _ in range(3):
+        gh_nodes(5)
+        gauss_rule(QuadScheme.gauss_hermite(5), np.eye(2))
+        gamma_integral_apply(t_op, f, [0.3, -0.2], QuadScheme.gauss_hermite(7))
+    assert sorted(calls) == [5, 7]
+
+
+def test_mehler_factors_are_built_once_per_contraction(monkeypatch):
+    calls = []
+    real = secondquant.psd_sqrt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(secondquant, "psd_sqrt", counting)
+    mu = SpectralGaussian([1.0, 0.5])
+    t_op = CMContraction(mu, mu, [[0.5, 0.1], [0.0, 0.4]])
+    f = lambda p: p[:, 0] ** 2 * p[:, 1]
+    values = [gamma_integral_apply(t_op, f, [0.3, -0.2]) for _ in range(3)]
+    assert len(calls) == 1 and len(set(values)) == 1
+    assert mutable_parts(mehler_factors(t_op)) == []
+
+
+def test_singular_values_cannot_be_overwritten():
+    t_op = CMContraction.scalar(SpectralGaussian([1.0, 2.0]), 0.5)
+    with pytest.raises(ValueError):
+        t_op.singular_values[0] = 3.0
+    assert t_op.op_norm == 0.5
+    assert mutable_parts(tuple(t_op._decomposition())) == []
+
+
+def test_cached_covariances_cannot_be_overwritten():
+    model = build_preset("heat1d", {"dim": 3})
+    fresh = build_preset("heat1d", {"dim": 3})
+    q = model.q_ts(0.0, 1.0)
+    q_inf, _ = model.q_t_inf(1.0)
+    for cov in (q, q_inf):
+        with pytest.raises(ValueError):
+            cov[0, 0] = 99.0
+    assert np.array_equal(model.q_ts(0.0, 1.0), fresh.q_ts(0.0, 1.0))
+    assert model.measure_at(1.0) == fresh.measure_at(1.0)
+    f = lambda p: p[:, 0] ** 2 - p[:, 2]
+    x = np.array([0.2, -0.1, 0.4])
+    assert pst_apply(model, f, 0.0, 1.0, x) == pst_apply(fresh, f, 0.0, 1.0, x)

@@ -275,6 +275,19 @@ def test_l2_norm_of_exponential():
     assert l2_norm(e) == pytest.approx(math.sqrt(math.e), abs=1e-8)
 
 
+def test_expansion_validates_plain_tuple_keys():
+    g = SpectralGaussian([1.0, 1.0])
+    with pytest.raises(ValueError):
+        ChaosExpansion(g, 2, {(1, -1): 0.5})
+    with pytest.raises(ValueError):
+        ChaosExpansion(g, 2, {(1, 0, 0): 0.5})
+    e = ChaosExpansion(g, 2, {(1, 0): 0.5, MultiIndex((0, 2)): -1.25})
+    assert all(type(a) is MultiIndex for a in e.coeffs)
+    assert e[(1, 0)] == 0.5 and e[MultiIndex((0, 2))] == -1.25
+    with pytest.raises(ValueError):
+        e[(1, -1)]
+
+
 def test_expansion_json_round_trip():
     g = SpectralGaussian([1.0, 1.0])
     e = ChaosExpansion(g, 2, {(1, 0): 0.5, (0, 2): -1.25})

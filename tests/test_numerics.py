@@ -54,6 +54,39 @@ def test_gh_tensor_grid_size_cap():
         gh_tensor(10, 10)
 
 
+def meshgrid_tensor(dim, n):
+    """Reference tensor grid gathered from meshgrid index arrays."""
+    x, w = gh_nodes(n)
+    axes = [g.reshape(-1) for g in
+            np.meshgrid(*([np.arange(n)] * dim), indexing="ij")]
+    pts = np.stack([x[i] for i in axes], axis=-1)
+    wts = np.ones(len(pts))
+    for i in axes:
+        wts *= w[i]
+    return pts, wts
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_gh_tensor_is_the_meshgrid_grid_bit_for_bit(dim):
+    for n in (1, 2, 3, 5, 12):
+        got, want = gh_tensor(dim, n), meshgrid_tensor(dim, n)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+            assert a.flags.writeable
+
+
+def test_gh_tensor_in_no_dimension_is_one_point():
+    # a Monte Carlo rule with no live column asks for gh_tensor(0, 0)
+    pts, wts = gh_tensor(0, 0)
+    assert pts.shape == (1, 0) and np.array_equal(wts, [1.0])
+    scheme = QuadScheme.monte_carlo(100, seed=1)
+    pts, wts = gauss_rule(scheme, np.zeros((2, 1)))
+    assert np.array_equal(pts, np.zeros((1, 2))) and np.array_equal(wts, [1.0])
+    mean = np.array([0.5, -2.0])
+    assert gauss_expect_err(lambda p: p[:, 0] * p[:, 1], mean,
+                            np.zeros((2, 1)), scheme) == (-1.0, 0.0)
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         QuadScheme(kind="midpoint")
