@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                      SizeTooLarge)
-from .numerics import QuadScheme, _philox_batches, eval_batch, gauss_rule
+from .numerics import QuadScheme, _rule_batches, eval_batch
 
 HERMITE_MAX_DEGREE = 60
 MONOMIAL_MAX_FACTORS = 8
@@ -287,32 +287,19 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     the scheme tolerance (default 1e-9), otherwise SchemeTooCoarse is raised;
     the residual is stored on the returned expansion either way.
     """
-    supp = np.flatnonzero(gamma.support)
     if scheme is None:
-        scheme = QuadScheme.default_for(len(supp), max_degree)
+        scheme = QuadScheme.default_for(int(gamma.support.sum()), max_degree)
     alphas = [a for a in enumerate_up_to(gamma.dim, max_degree)
               if all(e == 0 or gamma.support[j] for j, e in enumerate(a))]
-    if scheme.kind == "tensor_gauss_hermite":
-        x, wts = gauss_rule(scheme, gamma.sqrt_cols())
+    sums = np.zeros(len(alphas))
+    sq_mass = 0.0
+    for x, w in _rule_batches(scheme, gamma.sqrt_cols()):
         fv = eval_batch(f, x)
         tables = _support_tables(gamma, x, max_degree)
-        coeffs = {a: float(np.dot(wts, fv * _phi_from_tables(a, tables, len(x))))
-                  for a in alphas}
-        sq_mass = float(np.dot(wts, fv * fv))
-    else:
-        sums = np.zeros(len(alphas))
-        sq_sum = 0.0
-        for gen, size in _philox_batches(scheme.seed, scheme.samples):
-            draw = gen.standard_normal((size, len(supp)))
-            x = np.zeros((size, gamma.dim))
-            x[:, supp] = draw * np.sqrt(gamma.eigenvalues[supp])[None, :]
-            fv = eval_batch(f, x)
-            tables = _support_tables(gamma, x, max_degree)
-            for i, a in enumerate(alphas):
-                sums[i] += float(np.sum(fv * _phi_from_tables(a, tables, size)))
-            sq_sum += float(np.sum(fv * fv))
-        coeffs = {a: s / scheme.samples for a, s in zip(alphas, sums)}
-        sq_mass = sq_sum / scheme.samples
+        for i, a in enumerate(alphas):
+            sums[i] += np.dot(w, fv * _phi_from_tables(a, tables, len(x)))
+        sq_mass += float(np.dot(w, fv * fv))
+    coeffs = dict(zip(alphas, sums.tolist()))
     residual_sq = sq_mass - sum(c * c for c in coeffs.values())
     residual = math.sqrt(max(residual_sq, 0.0))
     if expect_polynomial:

@@ -37,6 +37,8 @@ from .secondquant import (CMContraction, _average_at, _nested_rules,
                           lq_norm_gamma, q0_threshold)
 
 TRACE_TOL = 1e-10
+# bisection levels of the covariance panel quadrature
+PANEL_MAX_REFINE = 16
 STATIONARY_OFFDIAG_TOL = 1e-10
 
 
@@ -164,8 +166,7 @@ class OUModel:
     """
 
     def __init__(self, family, noise, mode_decay=None, mode_noise_sup=None,
-                 lambda0=None, envelope=1.0, order=8, max_refine=16,
-                 trace_tol=TRACE_TOL):
+                 lambda0=None, envelope=1.0):
         if family.dim != noise.dim:
             raise ValueError("family and noise dimensions differ")
         self.family = family
@@ -177,12 +178,10 @@ class OUModel:
             lambda0 = float(self.mode_decay.max())
         self.lambda0 = lambda0
         self.envelope = float(envelope)
-        self.order = order
-        self.max_refine = max_refine
-        self.trace_tol = trace_tol
         self._q_ts_cache = {}
         self._q_inf_cache = {}
         self._measure_cache = {}
+        self._contraction_cache = {}
 
     @property
     def dim(self):
@@ -212,8 +211,8 @@ class OUModel:
             growth = self.family.rate_integral(r, t)        # (m, d)
             noise = self.noise.diag_values(r)                # (m, d)
             return np.exp(2.0 * growth) * noise ** 2
-        return panel_integrate(integrand, s, t, order=self.order,
-                               max_refine=self.max_refine, rtol=self.trace_tol)
+        return panel_integrate(integrand, s, t, max_refine=PANEL_MAX_REFINE,
+                               rtol=TRACE_TOL)
 
     def _q_dense(self, s, t):
         def integrand(r_nodes):
@@ -223,8 +222,8 @@ class OUModel:
                 br = self.noise(r)
                 out[i] = ur @ br @ br.T @ ur.T
             return out
-        return panel_integrate(integrand, s, t, order=self.order,
-                               max_refine=self.max_refine, rtol=self.trace_tol)
+        return panel_integrate(integrand, s, t, max_refine=PANEL_MAX_REFINE,
+                               rtol=TRACE_TOL)
 
     def q_ts(self, s, t):
         """Covariance of the transition kernel on [s, t]; symmetric PSD and
@@ -314,9 +313,13 @@ def pst_apply(model, f, s, t, x, scheme=None):
 def pst_contraction(model, s, t, tol=1e-10):
     """The adjoint restriction L = (U(t,s)|_{H_s})*: H_t -> H_s as a
     CMContraction from gamma_t to gamma_s, with matrix V^T for
-    V = Q(t,-inf)^{-1/2} u(t,s) Q(s,-inf)^{1/2}; s = t gives the identity."""
+    V = Q(t,-inf)^{-1/2} u(t,s) Q(s,-inf)^{1/2}; s = t gives the identity.
+    The model keeps it per (s, t, tol), so its factorisations are shared."""
     if s > t:
         raise ValueError("need s <= t")
+    key = (float(s), float(t), float(tol))
+    if key in model._contraction_cache:
+        return model._contraction_cache[key]
     gamma_t = model.measure_at(t, tol)
     gamma_s = model.measure_at(s, tol)
     inv_rt = np.where(gamma_t.support,
@@ -329,6 +332,7 @@ def pst_contraction(model, s, t, tol=1e-10):
         raise NotContraction(
             f"||V|| = {contraction.op_norm:.12f} at (s,t)=({s},{t}); "
             "covariance quadrature or the model hypotheses are broken")
+    model._contraction_cache[key] = contraction
     return contraction
 
 

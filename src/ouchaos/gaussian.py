@@ -25,7 +25,7 @@ RANGE_INCLUSION_TOL = 1e-10
 class SpectralGaussian:
     """Centered Gaussian with covariance diag(eigenvalues)."""
 
-    def __init__(self, eigenvalues, kernel_tol=KERNEL_TOL):
+    def __init__(self, eigenvalues):
         lam = np.asarray(eigenvalues, dtype=float).reshape(-1)
         if lam.size == 0:
             raise ValueError("need at least one eigenvalue")
@@ -33,10 +33,9 @@ class SpectralGaussian:
             raise ValueError("eigenvalues must be finite and nonnegative")
         self._lam = lam.copy()
         self._lam.flags.writeable = False
-        self.kernel_tol = float(kernel_tol)
         top = lam.max()
         if top > 0:
-            self._support = lam > self.kernel_tol * top
+            self._support = lam > KERNEL_TOL * top
         else:
             self._support = np.zeros(lam.size, dtype=bool)
         self._support.flags.writeable = False

@@ -1,14 +1,16 @@
 """Shared integration and randomness kernels.
 
-Everything downstream funnels Gaussian expectations through the rule of
-:func:`gauss_rule` and the one average over it, :func:`_gauss_average`, or,
-for a single Monte Carlo estimate with its standard error, through
-:func:`mc_estimate`, so quadrature exactness and Monte Carlo determinism
-are controlled in a single place.  Gauss-Hermite rules are the probabilists'
-ones (weight ``exp(-x^2/2)/sqrt(2*pi)``), matching the Hermite family used
-by the chaos module.  Monte Carlo uses the counter-based Philox generator
-with one substream per fixed-size batch, so results depend only on the seed
-and the sample count, never on scheduling.
+Everything downstream funnels Gaussian expectations through one rule and
+one average over it: :func:`_rule_batches` yields the rule of
+:func:`gauss_rule` piece by piece, and :func:`_gauss_average` averages f
+over it for a batch of means, with each mean's standard error, so
+quadrature exactness and Monte Carlo determinism are controlled in a single
+place.  Gauss-Hermite rules are the probabilists' ones (weight
+``exp(-x^2/2)/sqrt(2*pi)``), matching the Hermite family used by the chaos
+module.  Monte Carlo uses the counter-based Philox generator with one
+substream per fixed-size batch, so results depend only on the seed and the
+sample count, never on scheduling; :func:`mc_estimate` runs the same batch
+loop for a caller's own sampler.
 """
 
 from __future__ import annotations
@@ -203,8 +205,9 @@ def gauss_rule(scheme, cols):
 
     Zero columns of the d x m factor are pruned first.  Gauss-Hermite gives
     the tensor grid over the remaining columns; Monte Carlo gives the
-    Philox draws of :func:`mc_estimate`'s batches with weights 1/n.
-    Points have shape (n, d).
+    Philox draws, batch by batch as :func:`mc_estimate` takes them, with
+    weights 1/n.  Points have shape (n, d).  This is the rule that
+    :func:`_gauss_average` and ``chaos.project`` stream piece by piece.
     """
     pieces = list(_rule_batches(scheme, cols))
     if len(pieces) == 1:
@@ -215,13 +218,15 @@ def gauss_rule(scheme, cols):
 
 def _rule_batches(scheme, cols):
     """The rule of :func:`gauss_rule` in pieces: the whole tensor grid, or
-    one piece per Philox batch of draws."""
+    one piece per Philox batch of draws, all of them sharing one array of
+    weights 1/n.  Points are freshly built, so a consumer may shift them in
+    place."""
     cols = _live_columns(cols)
     m = cols.shape[1]
     if scheme.kind == "monte_carlo" and m > 0:
+        weight = np.full(min(_MC_BATCH, scheme.samples), 1.0 / scheme.samples)
         for gen, size in _philox_batches(scheme.seed, scheme.samples):
-            yield (gen.standard_normal((size, m)) @ cols.T,
-                   np.full(size, 1.0 / scheme.samples))
+            yield gen.standard_normal((size, m)) @ cols.T, weight[:size]
     else:
         pts, wts = gh_tensor(m, scheme.nodes)
         yield pts @ cols.T, wts
@@ -229,19 +234,22 @@ def _rule_batches(scheme, cols):
 
 def _gauss_average(f, means, cols, scheme):
     """E[f(mean + cols @ xi)] for every row of ``means`` (m, d), over the one
-    rule gauss_rule(scheme, cols) that all rows share; returns shape (m,).
+    rule gauss_rule(scheme, cols) that all rows share, and the standard
+    error of each; returns two arrays of shape (m,).
 
     The rule is taken one piece of :func:`_rule_batches` at a time, so a
     Monte Carlo rule is never held whole.  Within a piece the loop runs over
     the shorter axis, rows or rule points (rule points on a tie), and f gets
-    the other axis as one batch: the piece around one mean, or all means
-    shifted by one rule point, column-major so that f reads each coordinate
-    contiguously.  Under Monte Carlo with a tolerance, SchemeTooCoarse is
-    raised when the standard error of any row, from its centred second
-    moment, exceeds ``tolerance * max(1, |value|)``.
+    the other axis as one batch: the piece around one mean (the last row
+    shifts the piece in place), or all means shifted by one rule point,
+    column-major so that f reads each coordinate contiguously.  Under Monte
+    Carlo the standard error comes from each row's centred second moment,
+    merged batch by batch; under Gauss-Hermite it is 0.  With a tolerance,
+    SchemeTooCoarse is raised when any row's standard error exceeds
+    ``tolerance * max(1, |value|)``.
     """
     rows = len(means)
-    check = scheme.kind == "monte_carlo" and scheme.tolerance is not None
+    sampled = scheme.kind == "monte_carlo"
     out = np.zeros(rows)
     run = np.zeros(rows)
     m2 = np.zeros(rows)
@@ -251,9 +259,10 @@ def _gauss_average(f, means, cols, scheme):
         size = len(w)
         if rows < size:
             for i, mean in enumerate(means):
-                vals = eval_batch(f, mean + disp)
+                pts = disp + mean if i + 1 < rows else np.add(disp, mean, out=disp)
+                vals = eval_batch(f, pts)
                 out[i] += np.dot(w, vals)
-                if check:
+                if sampled:
                     batch_mean = np.mean(vals)
                     run[i], m2[i] = _merge_moments(
                         run[i], m2[i], done, batch_mean,
@@ -262,17 +271,17 @@ def _gauss_average(f, means, cols, scheme):
             for j in range(size):
                 vals = eval_batch(f, base + disp[j])
                 out += w[j] * vals
-                if check:
+                if sampled:
                     run, m2 = _merge_moments(run, m2, done + j, vals, 0.0, 1)
         done += size
-    if check and done > 1:
-        err = np.sqrt(m2 / ((done - 1) * done))
+    err = np.sqrt(m2 / max((done - 1) * done, 1))
+    if scheme.tolerance is not None:
         bad = err > scheme.tolerance * np.maximum(1.0, np.abs(out))
         if bad.any():
             raise SchemeTooCoarse(
                 f"standard error {err[bad].max():.3e} above tolerance "
                 f"{scheme.tolerance:.3e}")
-    return out
+    return out, err
 
 
 def gauss_expect(f, mean, cols, scheme):
@@ -295,17 +304,8 @@ def gauss_expect_err(f, mean, cols, scheme):
     cols = np.atleast_2d(np.asarray(cols, dtype=float))
     if cols.shape[0] != mean.shape[0]:
         raise ValueError("cols must have one row per coordinate of mean")
-    cols = _live_columns(cols)
-    m = cols.shape[1]
-    if scheme.kind == "monte_carlo" and m > 0:
-        def sampler(gen, size):
-            return mean[None, :] + gen.standard_normal((size, m)) @ cols.T
-        est, err = mc_estimate(f, sampler, scheme.samples, scheme.seed)
-        if scheme.tolerance is not None and err > scheme.tolerance * max(1.0, abs(est)):
-            raise SchemeTooCoarse(
-                f"standard error {err:.3e} above tolerance {scheme.tolerance:.3e}")
-        return est, err
-    return float(_gauss_average(f, mean[None, :], cols, scheme)[0]), 0.0
+    value, err = _gauss_average(f, mean[None, :], cols, scheme)
+    return float(value[0]), float(err[0])
 
 
 def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):

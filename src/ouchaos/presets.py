@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .errors import ConfigInvalid, HypothesisFailed
-from .evolution import EvolutionFamily, NoiseFamily, OUModel, pst_contraction
+from .evolution import (EvolutionFamily, NoiseFamily, OUModel,
+                        _adaptive_integral, pst_contraction)
 
 __all__ = ["diag_arctan_preset", "malliavin_preset", "heat1d_preset",
            "build_preset", "PRESET_NAMES"]
@@ -103,9 +104,11 @@ def malliavin_preset(a, b_modes, d, a_integral=None, a_sup=None,
                       for b in b_modes]
 
     # one evaluation of int_s^t a serves every mode
-    integral = None if a_integral is None else (
-        lambda s, t: np.asarray(a_integral(s, t), dtype=float)[..., None])
-    family = EvolutionFamily(None, d, rates=[a] * d, rate_integral=integral)
+    if a_integral is None:
+        a_integral = _adaptive_integral(a)
+    family = EvolutionFamily(
+        None, d, rates=[a] * d,
+        rate_integral=lambda s, t: np.asarray(a_integral(s, t), dtype=float)[..., None])
     noise = NoiseFamily.diagonal(list(b_modes), bound=float(max(noise_sups)))
     model = OUModel(family, noise, mode_decay=np.full(d, a_sup),
                     mode_noise_sup=np.asarray(noise_sups, dtype=float),

@@ -245,15 +245,13 @@ def gamma_integral_apply(T, f, x, scheme=None):
 def _average_at(f, a, x, cols, scheme):
     """E[f(a x + cols @ xi)] at one point x (a float) or a batch (m,).
 
-    One point goes through gauss_expect, whose Monte Carlo branch is
-    mc_estimate; a batch goes through _gauss_average.
+    Both go through _gauss_average, one point as a batch of one row.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim > 2:
         raise ValueError("x must be one point (d,) or a batch (m, d)")
-    if x.ndim < 2:
-        return gauss_expect(f, a @ x.reshape(-1), cols, scheme)
-    return _gauss_average(f, x @ a.T, cols, scheme)
+    value, _ = _gauss_average(f, np.atleast_2d(x) @ a.T, cols, scheme)
+    return value if x.ndim == 2 else float(value[0])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ from numpy.polynomial.hermite_e import hermegauss
 
 import ouchaos
 from ouchaos import numerics, secondquant
-from ouchaos.evolution import pst_apply
+from ouchaos.evolution import (decay_ratio, pst_apply, pst_contraction,
+                               pst_via_second_quant)
 from ouchaos.gaussian import SpectralGaussian
 from ouchaos.numerics import QuadScheme, gauss_rule, gh_nodes
 from ouchaos.presets import build_preset
@@ -123,6 +124,29 @@ def test_mehler_factors_are_built_once_per_contraction(monkeypatch):
     values = [gamma_integral_apply(t_op, f, [0.3, -0.2]) for _ in range(3)]
     assert len(calls) == 1 and len(set(values)) == 1
     assert mutable_parts(mehler_factors(t_op)) == []
+
+
+def test_contractions_are_built_once_per_model(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(secondquant, "psd_sqrt",
+                        counting("mehler", secondquant.psd_sqrt))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    model = build_preset("heat1d", {"dim": 3})
+    f = lambda p: p[:, 0] ** 2 * p[:, 1] - p[:, 2]
+    x = np.array([0.2, -0.1, 0.4])
+    values = [pst_via_second_quant(model, f, 0.0, 0.5, x) for _ in range(5)]
+    assert len(set(values)) == 1
+    assert pst_contraction(model, 0.0, 0.5) is pst_contraction(model, 0.0, 0.5)
+    # a decay row: the norm columns and the ratio share one contraction
+    decay_ratio(model, f, 2.0, 0.0, 0.5, degree=3)
+    assert calls.count("mehler") == 1 and calls.count("svd") == 1
 
 
 def test_singular_values_cannot_be_overwritten():

@@ -15,7 +15,7 @@ from ouchaos.chaos import (ChaosExpansion, MultiIndex, enumerate_indices,
 from ouchaos.errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                             SizeTooLarge)
 from ouchaos.gaussian import SpectralGaussian, expect, white_noise
-from ouchaos.numerics import QuadScheme
+from ouchaos.numerics import QuadScheme, gauss_rule
 
 
 def test_multi_index_basics():
@@ -161,6 +161,22 @@ def test_project_skips_kernel_directions():
     g = SpectralGaussian([1.0, 0.0])
     e = project(g, lambda p: p[:, 0], 2)
     assert e[(1, 0)] == pytest.approx(1.0, abs=1e-12)
+    assert all(a[1] == 0 for a in e.coeffs)
+
+
+def test_project_monte_carlo_is_the_weighted_rule_sum():
+    # the kernel direction x_1 is pruned from the draws and from the basis
+    g = SpectralGaussian([1.5, 0.0, 0.6])
+    scheme = QuadScheme.monte_carlo(70_000, seed=3)
+    f = lambda p: np.exp(0.3 * p[:, 0] - 0.2 * p[:, 2])
+    e = project(g, f, 2, scheme)
+    pts, w = gauss_rule(scheme, g.sqrt_cols())
+    assert np.all(pts[:, 1] == 0.0)
+    fv = f(pts)
+    for alpha in enumerate_up_to(3, 2):
+        if alpha[1] == 0:
+            want = np.dot(w, fv * phi_alpha(g, alpha, pts))
+            assert e[alpha] == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert all(a[1] == 0 for a in e.coeffs)
 
 

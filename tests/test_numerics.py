@@ -161,6 +161,27 @@ def test_gauss_rule_monte_carlo_draws_are_those_of_mc_estimate():
     assert np.dot(w, f(pts)) == pytest.approx(est, rel=1e-12)
 
 
+def test_one_point_monte_carlo_is_mc_estimate_on_the_same_draws():
+    # 70 000 samples span two Philox batches; f sees one batch at a time
+    scheme = QuadScheme.monte_carlo(70_000, seed=9)
+    mean = np.array([0.3, -0.1])
+    cols = np.array([[0.8, 0.1], [0.0, 0.5]])
+    sizes = []
+
+    def f(p):
+        sizes.append(len(p))
+        return np.cos(p[:, 0]) * p[:, 1] ** 2
+
+    def sampler(gen, size):
+        return mean + gen.standard_normal((size, 2)) @ cols.T
+
+    est, err = gauss_expect_err(f, mean, cols, scheme)
+    assert sizes == [numerics._MC_BATCH, 70_000 - numerics._MC_BATCH]
+    want, want_err = mc_estimate(f, sampler, 70_000, seed=9)
+    assert est == pytest.approx(want, rel=1e-12)
+    assert err == pytest.approx(want_err, rel=1e-12)
+
+
 def test_gauss_expect_monte_carlo_matches_quadrature():
     f = lambda p: np.cos(p[:, 0]) * p[:, 1] ** 2
     mean = np.array([0.3, -0.1])
@@ -202,9 +223,10 @@ def test_gauss_average_tolerance_is_each_rows_standard_error(rows, monkeypatch):
         vals = np.array([f(m + pts) for m in means])
         err = vals.std(axis=1, ddof=1) / math.sqrt(40)
         worst = float(np.max(err / np.maximum(1.0, np.abs(vals.mean(axis=1)))))
-        out = _gauss_average(f, means, cols, QuadScheme.monte_carlo(
+        out, out_err = _gauss_average(f, means, cols, QuadScheme.monte_carlo(
             40, seed=2, tolerance=worst * (1.0 + 1e-9)))
         assert out == pytest.approx(vals.mean(axis=1), rel=1e-14)
+        assert out_err == pytest.approx(err, rel=1e-12)
         with pytest.raises(SchemeTooCoarse):
             _gauss_average(f, means, cols, QuadScheme.monte_carlo(
                 40, seed=2, tolerance=worst * (1.0 - 1e-9)))
@@ -224,7 +246,7 @@ def test_gauss_average_streams_monte_carlo_batches(rows, monkeypatch):
         sizes.append(len(p))
         return np.exp(0.5 * p[:, 0]) + p[:, 1] ** 2
 
-    out = _gauss_average(f, means, cols, scheme)
+    out, _ = _gauss_average(f, means, cols, scheme)
     if rows < 16:
         assert sizes == [16] * (6 * rows) + [4] * rows
     else:

@@ -150,6 +150,28 @@ class TestMalliavin:
         with pytest.raises(ValueError):
             malliavin_preset(const_fn(-1.0), [const_fn(1.0)], 2)
 
+    def test_adaptive_integral_is_shared_by_the_modes(self):
+        # without a_integral, int_s^t a is computed once and broadcast
+        calls = []
+        base = lambda t: -1.0 + 0.4 * np.sin(np.asarray(t, dtype=float))
+
+        def counted(t):
+            calls.append(1)
+            return base(t)
+
+        s = np.array([0.0, 0.5])
+        per_dim = {}
+        for d in (1, 3):
+            model = malliavin_preset(counted, [const_fn(1.0)] * d, d,
+                                     a_sup=-0.6, noise_sups=[1.0] * d,
+                                     check_grid=())
+            calls.clear()
+            got = model.family.rate_integral(s, 1.0)
+            per_dim[d] = len(calls)
+            assert got.shape == (2, d)
+            assert np.all(got == got[:, :1])
+        assert per_dim[3] == per_dim[1] > 0
+
 
 class TestHeat1d:
     def test_parameter_validation(self):
