@@ -263,12 +263,8 @@ def l2_norm(expansion):
 
 def _support_tables(gamma, pts_embedded, max_degree):
     """phi tables per supported coordinate for a batch of points in X."""
-    tables = {}
-    for j in range(gamma.dim):
-        if gamma.support[j]:
-            xi = pts_embedded[:, j] / math.sqrt(gamma.eigenvalues[j])
-            tables[j] = _phi_table(xi, max_degree)
-    return tables
+    return {j: _phi_table(pts_embedded[:, j] / gamma.scale[j], max_degree)
+            for j in range(gamma.dim) if gamma.support[j]}
 
 
 def _phi_from_tables(alpha, tables, m):

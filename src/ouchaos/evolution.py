@@ -179,6 +179,7 @@ class OUModel:
         self.lambda0 = lambda0
         self.envelope = float(envelope)
         self._q_ts_cache = {}
+        self._q_root_cache = {}
         self._q_inf_cache = {}
         self._measure_cache = {}
         self._contraction_cache = {}
@@ -240,6 +241,15 @@ class OUModel:
             q.flags.writeable = False
             self._q_ts_cache[key] = q
         return self._q_ts_cache[key]
+
+    def _q_root(self, s, t):
+        """Symmetric square root of q_ts(s, t), kept read-only per (s, t)."""
+        key = (float(s), float(t))
+        if key not in self._q_root_cache:
+            root = psd_sqrt(self.q_ts(s, t))
+            root.flags.writeable = False
+            self._q_root_cache[key] = root
+        return self._q_root_cache[key]
 
     def _tail_certificate(self, delta):
         """Upper bound on the trace of the omitted integral over (-inf, t-delta]."""
@@ -307,7 +317,7 @@ def pst_apply(model, f, s, t, x, scheme=None):
         raise ValueError("need s <= t")
     if scheme is None:
         scheme = QuadScheme.default_for(model.dim, 10)
-    return _average_at(f, model.u(t, s), x, psd_sqrt(model.q_ts(s, t)), scheme)
+    return _average_at(f, model.u(t, s), x, model._q_root(s, t), scheme)
 
 
 def pst_contraction(model, s, t, tol=1e-10):
@@ -322,11 +332,7 @@ def pst_contraction(model, s, t, tol=1e-10):
         return model._contraction_cache[key]
     gamma_t = model.measure_at(t, tol)
     gamma_s = model.measure_at(s, tol)
-    inv_rt = np.where(gamma_t.support,
-                      1.0 / np.sqrt(np.where(gamma_t.support,
-                                             gamma_t.eigenvalues, 1.0)), 0.0)
-    rt_s = np.where(gamma_s.support, np.sqrt(gamma_s.eigenvalues), 0.0)
-    v = inv_rt[:, None] * model.u(t, s) * rt_s[None, :]
+    v = gamma_t.inv_scale[:, None] * model.u(t, s) * gamma_s.scale[None, :]
     contraction = CMContraction(gamma_t, gamma_s, v.T)
     if contraction.op_norm > 1.0 + 1e-10:
         raise NotContraction(

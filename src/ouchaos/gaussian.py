@@ -33,12 +33,12 @@ class SpectralGaussian:
             raise ValueError("eigenvalues must be finite and nonnegative")
         self._lam = lam.copy()
         self._lam.flags.writeable = False
-        top = lam.max()
-        if top > 0:
-            self._support = lam > KERNEL_TOL * top
-        else:
-            self._support = np.zeros(lam.size, dtype=bool)
+        # all False for the zero measure, since lam >= 0
+        self._support = lam > KERNEL_TOL * lam.max()
         self._support.flags.writeable = False
+        self._scale = np.where(self._support, np.sqrt(lam), 0.0)
+        self._inv_scale = _over_scale(self, 1.0)
+        self._scale.flags.writeable = self._inv_scale.flags.writeable = False
 
     @property
     def dim(self):
@@ -52,6 +52,16 @@ class SpectralGaussian:
     def support(self):
         """Boolean mask of the numerical support of the covariance."""
         return self._support
+
+    @property
+    def scale(self):
+        """sqrt(lambda) on the support, 0 over the kernel."""
+        return self._scale
+
+    @property
+    def inv_scale(self):
+        """1/sqrt(lambda) on the support, 0 over the kernel."""
+        return self._inv_scale
 
     @property
     def is_nondegenerate(self):
@@ -88,13 +98,11 @@ class SpectralGaussian:
         if n < 1:
             raise ValueError("need n >= 1")
         gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        scale = np.where(self._support, np.sqrt(self._lam), 0.0)
-        return gen.standard_normal((n, self.dim)) * scale[None, :]
+        return gen.standard_normal((n, self.dim)) * self._scale[None, :]
 
     def sqrt_cols(self):
         """Columns of Q^{1/2} restricted to the support (for quadrature)."""
-        scale = np.where(self._support, np.sqrt(self._lam), 0.0)
-        return np.diag(scale)
+        return np.diag(self._scale)
 
 
 def _check_in_range(gamma, v, what):
@@ -105,6 +113,11 @@ def _check_in_range(gamma, v, what):
     if off > OFF_RANGE_TOL * np.linalg.norm(v):
         raise OffRange(f"{what} has mass {off:.3e} over the covariance kernel")
     return v
+
+
+def _over_scale(gamma, v):
+    """v_j/sqrt(lambda_j) on the support, zero over the kernel."""
+    return np.divide(v, gamma.scale, out=np.zeros(gamma.dim), where=gamma.support)
 
 
 def cm_inner(gamma, h, k):
@@ -122,18 +135,12 @@ def cm_norm(gamma, h):
 def pinv_sqrt_apply(gamma, h):
     """Apply the pseudo-inverse square root of the covariance: h_j/sqrt(lambda_j)
     on the support, zero over the kernel."""
-    h = _check_in_range(gamma, h, "h")
-    out = np.zeros(gamma.dim)
-    s = gamma.support
-    out[s] = h[s] / np.sqrt(gamma.eigenvalues[s])
-    return out
+    return _over_scale(gamma, _check_in_range(gamma, h, "h"))
 
 
 def sqrt_apply(gamma, v):
     """Apply Q^{1/2} (kernel components are annihilated)."""
-    v = np.asarray(v, dtype=float).reshape(-1)
-    scale = np.where(gamma.support, np.sqrt(gamma.eigenvalues), 0.0)
-    return v * scale
+    return np.asarray(v, dtype=float).reshape(-1) * gamma.scale
 
 
 def white_noise(gamma, z, x):
@@ -143,12 +150,8 @@ def white_noise(gamma, z, x):
     batch (n, dim); under x ~ gamma the value is centered Gaussian with
     variance equal to the squared norm of the supported part of z.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float)
-    s = gamma.support
-    coeff = np.zeros(gamma.dim)
-    coeff[s] = z[s] / np.sqrt(gamma.eigenvalues[s])
-    return x @ coeff
+    z = np.asarray(z, dtype=float).reshape(gamma.dim)
+    return np.asarray(x, dtype=float) @ _over_scale(gamma, z)
 
 
 def exp_functional(gamma, z, x):

@@ -96,8 +96,7 @@ class CMContraction:
 
     def apply_cm(self, h):
         """Image in X of a Cameron-Martin vector h of mu."""
-        coords = self.matrix @ pinv_sqrt_apply(self.mu, h)
-        return np.where(self.nu.support, np.sqrt(self.nu.eigenvalues), 0.0) * coords
+        return self.nu.scale * (self.matrix @ pinv_sqrt_apply(self.mu, h))
 
     def require_contraction(self):
         if self.op_norm > 1.0 + CONTRACTION_SLACK:
@@ -126,12 +125,7 @@ def op_norm(T):
 def x_extension(T):
     """Canonical-coordinate matrix of the bounded extension of T to X:
     Q_nu^{1/2} M Q_mu^{-1/2} on the support of mu, zero on its kernel."""
-    lam_nu = np.where(T.nu.support, np.sqrt(T.nu.eigenvalues), 0.0)
-    with np.errstate(divide="ignore"):
-        inv_mu = np.where(T.mu.support,
-                          1.0 / np.sqrt(np.where(T.mu.support, T.mu.eigenvalues, 1.0)),
-                          0.0)
-    out = lam_nu[:, None] * T.matrix * inv_mu[None, :]
+    out = T.nu.scale[:, None] * T.matrix * T.mu.inv_scale[None, :]
     if np.any(np.abs(out) > EXTENSION_CAP):
         raise Unbounded("no continuous extension at this truncation")
     return LinearMap(out)
@@ -222,8 +216,7 @@ def mehler_factors(T):
         except ValueError as exc:
             raise NotContraction(str(exc)) from exc
         a = x_extension(T.adjoint).matrix
-        cols = np.where(T.mu.support, np.sqrt(T.mu.eigenvalues), 0.0)[:, None] * root
-        T._mehler = _read_only((a, cols))
+        T._mehler = _read_only((a, T.mu.scale[:, None] * root))
     return T._mehler
 
 

@@ -16,7 +16,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 import ouchaos
-from ouchaos import numerics, secondquant
+from ouchaos import evolution, numerics, secondquant
 from ouchaos.evolution import (decay_ratio, pst_apply, pst_contraction,
                                pst_via_second_quant)
 from ouchaos.gaussian import SpectralGaussian
@@ -147,6 +147,25 @@ def test_contractions_are_built_once_per_model(monkeypatch):
     # a decay row: the norm columns and the ratio share one contraction
     decay_ratio(model, f, 2.0, 0.0, 0.5, degree=3)
     assert calls.count("mehler") == 1 and calls.count("svd") == 1
+
+
+def test_transition_roots_are_built_once_per_model(monkeypatch):
+    calls = []
+    real = evolution.psd_sqrt
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "psd_sqrt", counting)
+    model = build_preset("heat1d", {"dim": 3})
+    f = lambda p: p[:, 0] ** 2 * p[:, 1] - p[:, 2]
+    x = np.array([0.2, -0.1, 0.4])
+    values = [pst_apply(model, f, 0.0, 0.5, x) for _ in range(5)]
+    assert len(calls) == 1 and len(set(values)) == 1
+    root = model._q_root(0.0, 0.5)
+    with pytest.raises(ValueError):
+        root[0, 0] = 99.0
 
 
 def test_singular_values_cannot_be_overwritten():

@@ -15,8 +15,8 @@ from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
 from ouchaos.gaussian import range_ratio_norm, white_noise
 from ouchaos.numerics import QuadScheme, panel_integrate, psd_sqrt
 from ouchaos.presets import build_preset
-from ouchaos.secondquant import (gamma_integral_apply, lq_norm_gamma,
-                                 mehler_factors, x_extension)
+from ouchaos.secondquant import (CMContraction, gamma_integral_apply,
+                                 lq_norm_gamma, mehler_factors, x_extension)
 
 
 def constant_model(lams):
@@ -323,6 +323,24 @@ def test_pst_contraction_constant_model():
     expected = math.exp(lam * (t - s))
     assert c.matrix == pytest.approx(expected * np.eye(2), abs=1e-9)
     assert c.op_norm == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("noise", [[1.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
+def test_pst_contraction_keeps_the_masked_formula_on_a_kernel(noise):
+    """V = Q_t^{-1/2} u Q_s^{1/2} with both roots zero over the kernel, bit
+    for bit as the masked eigenvalue formula gives it."""
+    model = _model_from({"model": {"inline": {"rates": [-1.0, -2.0, -0.5],
+                                              "noise_consts": noise}}}, 0)
+    s, t = 0.0, 0.7
+    g_t, g_s = model.measure_at(t), model.measure_at(s)
+    with np.errstate(divide="ignore"):
+        inv_rt = np.where(g_t.support, 1.0 / np.sqrt(
+            np.where(g_t.support, g_t.eigenvalues, 1.0)), 0.0)
+    rt_s = np.where(g_s.support, np.sqrt(g_s.eigenvalues), 0.0)
+    v = inv_rt[:, None] * model.u(t, s) * rt_s[None, :]
+    assert np.array_equal(pst_contraction(model, s, t).matrix,
+                          CMContraction(g_t, g_s, v.T).matrix)
+    assert not g_t.support.all()
 
 
 def test_pst_contraction_norm_below_one_across_pairs():

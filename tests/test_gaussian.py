@@ -12,6 +12,7 @@ from ouchaos.gaussian import (LinearMap, SpectralGaussian,
                               expect, pinv_sqrt_apply, range_ratio_norm,
                               sqrt_apply, white_noise)
 from ouchaos.numerics import QuadScheme
+from ouchaos.secondquant import CMContraction, x_extension
 
 
 def test_constructor_validation():
@@ -30,6 +31,44 @@ def test_support_mask():
     assert SpectralGaussian([2.0, 3.0]).is_nondegenerate
     # fully degenerate point mass has empty support
     assert SpectralGaussian([0.0, 0.0]).support.tolist() == [False, False]
+
+
+@pytest.mark.parametrize("lam", [[1.0, 1e-14, 0.0, 2.0], [0.0, 0.0, 0.0]])
+def test_square_root_scales(lam):
+    g = SpectralGaussian(lam)
+    lam = np.array(lam)
+    s = g.support
+    for arr in (g.scale, g.inv_scale):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    assert np.array_equal(g.scale[s], np.sqrt(lam[s]))
+    assert np.array_equal(g.inv_scale[s], 1.0 / np.sqrt(lam[s]))
+    assert not g.scale[~s].any() and not g.inv_scale[~s].any()
+
+
+@pytest.mark.parametrize("lam", [[1.0, 1e-14, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0]])
+def test_scaled_maps_keep_the_masked_formulas_on_degenerate_measures(lam):
+    """pinv_sqrt_apply, white_noise and x_extension give, bit for bit, the
+    masked formulas they had before reading the measure's scales."""
+    g = SpectralGaussian(lam)
+    lam, s = np.array(lam), g.support
+    rng = np.random.default_rng(3)
+    h = np.where(s, rng.standard_normal(4), 0.0)
+    z = rng.standard_normal(4)
+    x = rng.standard_normal((5, 4))
+    want = np.zeros(4)
+    want[s] = h[s] / np.sqrt(lam[s])
+    assert np.array_equal(pinv_sqrt_apply(g, h), want)
+    coeff = np.zeros(4)
+    coeff[s] = z[s] / np.sqrt(lam[s])
+    assert np.array_equal(white_noise(g, z, x), x @ coeff)
+    nu = SpectralGaussian([0.5, 2.0, 1e-13, 1.5])
+    t_op = CMContraction(g, nu, 0.2 * rng.standard_normal((4, 4)))
+    rt_nu = np.where(nu.support, np.sqrt(nu.eigenvalues), 0.0)
+    with np.errstate(divide="ignore"):
+        inv_mu = np.where(s, 1.0 / np.sqrt(np.where(s, lam, 1.0)), 0.0)
+    assert np.array_equal(x_extension(t_op).matrix,
+                          rt_nu[:, None] * t_op.matrix * inv_mu[None, :])
 
 
 def test_json_round_trip():
@@ -79,6 +118,9 @@ def test_white_noise_pointwise():
 def test_white_noise_ignores_kernel_part_of_z():
     g = SpectralGaussian([1.0, 0.0])
     assert white_noise(g, [1.0, 5.0], [2.0, 3.0]) == pytest.approx(2.0)
+    # a short z is an error, not a broadcast over every coordinate
+    with pytest.raises(ValueError):
+        white_noise(g, [1.0], [2.0, 3.0])
 
 
 def test_white_noise_empirical_variance():
