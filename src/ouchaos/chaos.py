@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                      SizeTooLarge)
-from .numerics import QuadScheme, _rule_batches, eval_batch
+from .numerics import QuadScheme, _read_only, _rule_batches, eval_batch
 
 HERMITE_MAX_DEGREE = 60
 MONOMIAL_MAX_FACTORS = 8
@@ -88,9 +88,7 @@ def _index_tables(d, n):
                 down[i, k] = below[alpha[:i] + (e - 1,) + alpha[i + 1:]]
                 slot[k] = i
     parent = down[slot, np.arange(len(alphas))]
-    for table in (down, slot, parent):
-        table.flags.writeable = False
-    return down, slot, parent
+    return _read_only((down, slot, parent))
 
 
 def _times_linear_forms(prev, down, forms):
@@ -134,9 +132,8 @@ def _symmetric_powers(m, max_degree):
 
 @lru_cache(maxsize=None)
 def _sqrt_factorials(d, n):
-    out = np.array([math.sqrt(alpha.factorial) for alpha in _indices(d, n)])
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array([math.sqrt(alpha.factorial)
+                                for alpha in _indices(d, n)]))
 
 
 def enumerate_indices(d, n):
@@ -238,9 +235,6 @@ class ChaosExpansion:
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: _colex_key(kv[0]))
-
-    def degree_slice(self, n):
-        return {a: c for a, c in self.coeffs.items() if a.order == n}
 
     def to_json(self):
         return json.dumps([{"alpha": list(a), "c": c} for a, c in self.sorted_items()])

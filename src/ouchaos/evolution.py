@@ -31,7 +31,7 @@ import numpy as np
 from .chaos import project
 from .errors import HypothesisFailed, NoDecay, NotContraction
 from .gaussian import SpectralGaussian, expect, range_ratio_norm
-from .numerics import QuadScheme, panel_integrate, psd_sqrt
+from .numerics import QuadScheme, _kept, panel_integrate, psd_sqrt
 from .secondquant import (CMContraction, _average_at, _nested_rules,
                           gamma_integral_apply, gamma_series_apply,
                           lq_norm_gamma, q0_threshold)
@@ -178,11 +178,6 @@ class OUModel:
             lambda0 = float(self.mode_decay.max())
         self.lambda0 = lambda0
         self.envelope = float(envelope)
-        self._q_ts_cache = {}
-        self._q_root_cache = {}
-        self._q_inf_cache = {}
-        self._measure_cache = {}
-        self._contraction_cache = {}
 
     @property
     def dim(self):
@@ -226,30 +221,21 @@ class OUModel:
         return panel_integrate(integrand, s, t, max_refine=PANEL_MAX_REFINE,
                                rtol=TRACE_TOL)
 
+    @_kept
     def q_ts(self, s, t):
         """Covariance of the transition kernel on [s, t]; symmetric PSD and
-        read-only, since it is cached per (s, t)."""
+        read-only, since it is kept per (s, t)."""
         if s > t:
             raise ValueError("need s <= t")
-        key = (float(s), float(t))
-        if key not in self._q_ts_cache:
-            if self.is_diagonal:
-                q = np.diag(self._q_diag(s, t))
-            else:
-                q = self._q_dense(s, t)
-                q = 0.5 * (q + q.T)
-            q.flags.writeable = False
-            self._q_ts_cache[key] = q
-        return self._q_ts_cache[key]
+        if self.is_diagonal:
+            return np.diag(self._q_diag(s, t))
+        q = self._q_dense(s, t)
+        return 0.5 * (q + q.T)
 
+    @_kept
     def _q_root(self, s, t):
         """Symmetric square root of q_ts(s, t), kept read-only per (s, t)."""
-        key = (float(s), float(t))
-        if key not in self._q_root_cache:
-            root = psd_sqrt(self.q_ts(s, t))
-            root.flags.writeable = False
-            self._q_root_cache[key] = root
-        return self._q_root_cache[key]
+        return psd_sqrt(self.q_ts(s, t))
 
     def _tail_certificate(self, delta):
         """Upper bound on the trace of the omitted integral over (-inf, t-delta]."""
@@ -269,38 +255,34 @@ class OUModel:
         return float(self.dim * k2 * math.exp(2.0 * self.lambda0 * delta)
                      / (2.0 * abs(self.lambda0)))
 
+    @_kept
     def q_t_inf(self, t, tol=1e-10):
-        """Stationary covariance Q(t, -inf) with a certified trace tail < tol."""
-        key = (float(t), float(tol))
-        if key not in self._q_inf_cache:
-            delta = 1.0
-            for _ in range(200):
-                cert = self._tail_certificate(delta)
-                if cert < tol:
-                    break
-                delta *= 2.0
-            else:
-                raise NoDecay("tail certificate did not reach tolerance")
-            self._q_inf_cache[key] = (self.q_ts(t - delta, t), cert)
-        return self._q_inf_cache[key]
+        """Stationary covariance Q(t, -inf) and its certified trace tail < tol."""
+        delta = 1.0
+        for _ in range(200):
+            cert = self._tail_certificate(delta)
+            if cert < tol:
+                break
+            delta *= 2.0
+        else:
+            raise NoDecay("tail certificate did not reach tolerance")
+        return self.q_ts(t - delta, t), cert
 
-    def measure_at(self, t, tol=1e-10):
-        """Evolution-system measure gamma_t = N(0, Q(t,-inf)).
+    @_kept
+    def measure_at(self, t):
+        """Evolution-system measure gamma_t = N(0, Q(t,-inf)), kept per t.
 
         The covariance must be diagonal in canonical coordinates (it is for
         diagonal models); otherwise the spectral representation used
         everywhere else does not apply and the call is refused.
         """
-        key = (float(t), float(tol))
-        if key not in self._measure_cache:
-            q, _ = self.q_t_inf(t, tol)
-            diag = np.diag(q).copy()
-            off = q - np.diag(diag)
-            if np.abs(off).max(initial=0.0) > STATIONARY_OFFDIAG_TOL * max(
-                    diag.max(initial=0.0), 1e-300):
-                raise ValueError("stationary covariance is not diagonal")
-            self._measure_cache[key] = SpectralGaussian(np.clip(diag, 0.0, None))
-        return self._measure_cache[key]
+        q, _ = self.q_t_inf(t)
+        diag = np.diag(q).copy()
+        off = q - np.diag(diag)
+        if np.abs(off).max(initial=0.0) > STATIONARY_OFFDIAG_TOL * max(
+                diag.max(initial=0.0), 1e-300):
+            raise ValueError("stationary covariance is not diagonal")
+        return SpectralGaussian(np.clip(diag, 0.0, None))
 
     def __repr__(self):
         kind = "diagonal" if self.is_diagonal else "dense"
@@ -316,29 +298,26 @@ def pst_apply(model, f, s, t, x, scheme=None):
     if s > t:
         raise ValueError("need s <= t")
     if scheme is None:
-        scheme = QuadScheme.default_for(model.dim, 10)
+        scheme = QuadScheme.default_for(model.dim)
     return _average_at(f, model.u(t, s), x, model._q_root(s, t), scheme)
 
 
-def pst_contraction(model, s, t, tol=1e-10):
+@_kept
+def pst_contraction(model, s, t):
     """The adjoint restriction L = (U(t,s)|_{H_s})*: H_t -> H_s as a
     CMContraction from gamma_t to gamma_s, with matrix V^T for
     V = Q(t,-inf)^{-1/2} u(t,s) Q(s,-inf)^{1/2}; s = t gives the identity.
-    The model keeps it per (s, t, tol), so its factorisations are shared."""
+    The model keeps it per (s, t), so its factorisations are shared."""
     if s > t:
         raise ValueError("need s <= t")
-    key = (float(s), float(t), float(tol))
-    if key in model._contraction_cache:
-        return model._contraction_cache[key]
-    gamma_t = model.measure_at(t, tol)
-    gamma_s = model.measure_at(s, tol)
+    gamma_t = model.measure_at(t)
+    gamma_s = model.measure_at(s)
     v = gamma_t.inv_scale[:, None] * model.u(t, s) * gamma_s.scale[None, :]
     contraction = CMContraction(gamma_t, gamma_s, v.T)
     if contraction.op_norm > 1.0 + 1e-10:
         raise NotContraction(
             f"||V|| = {contraction.op_norm:.12f} at (s,t)=({s},{t}); "
             "covariance quadrature or the model hypotheses are broken")
-    model._contraction_cache[key] = contraction
     return contraction
 
 
@@ -357,7 +336,7 @@ def mean_functional(model, f, t, scheme=None):
     """m_t(f), the average of f against gamma_t."""
     gamma_t = model.measure_at(t)
     if scheme is None:
-        scheme = QuadScheme.default_for(model.dim, 10)
+        scheme = QuadScheme.default_for(model.dim)
     return expect(gamma_t, f, scheme)
 
 
@@ -381,7 +360,7 @@ def decay_ratio(model, f, p, s, t, scheme=None, degree=None):
         return _chaos_decay_ratio(model, f, s, t, scheme, degree)
     contraction = pst_contraction(model, s, t)
     if scheme is None:
-        scheme = QuadScheme.default_for(model.dim, 10)
+        scheme = QuadScheme.default_for(model.dim)
     _nested_rules(contraction, scheme)  # refuses before m_t evaluates f
     m_t = mean_functional(model, f, t, scheme)
 

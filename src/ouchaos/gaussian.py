@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .errors import Incomparable, OffRange
-from .numerics import gauss_expect
+from .numerics import _philox_batches, _read_only, gauss_expect
 
 KERNEL_TOL = 1e-12
 OFF_RANGE_TOL = 1e-8
@@ -31,14 +31,11 @@ class SpectralGaussian:
             raise ValueError("need at least one eigenvalue")
         if not np.all(np.isfinite(lam)) or np.any(lam < 0):
             raise ValueError("eigenvalues must be finite and nonnegative")
-        self._lam = lam.copy()
-        self._lam.flags.writeable = False
+        self._lam = _read_only(lam.copy())
         # all False for the zero measure, since lam >= 0
-        self._support = lam > KERNEL_TOL * lam.max()
-        self._support.flags.writeable = False
-        self._scale = np.where(self._support, np.sqrt(lam), 0.0)
-        self._inv_scale = _over_scale(self, 1.0)
-        self._scale.flags.writeable = self._inv_scale.flags.writeable = False
+        self._support = _read_only(lam > KERNEL_TOL * lam.max())
+        self._scale = _read_only(np.where(self._support, np.sqrt(lam), 0.0))
+        self._inv_scale = _read_only(_over_scale(self, 1.0))
 
     @property
     def dim(self):
@@ -94,11 +91,13 @@ class SpectralGaussian:
     # -- sampling ----------------------------------------------------------
 
     def sample(self, n, seed=0):
-        """n i.i.d. draws, shape (n, dim); deterministic given the seed."""
+        """n i.i.d. draws, shape (n, dim), from the jumped Philox substreams
+        that every Monte Carlo rule draws from: a pure function of (seed, n)."""
         if n < 1:
             raise ValueError("need n >= 1")
-        gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        return gen.standard_normal((n, self.dim)) * self._scale[None, :]
+        xi = np.concatenate([gen.standard_normal((size, self.dim))
+                             for gen, size in _philox_batches(seed, n)])
+        return xi * self._scale[None, :]
 
     def sqrt_cols(self):
         """Columns of Q^{1/2} restricted to the support (for quadrature)."""
@@ -182,8 +181,7 @@ class LinearMap:
         m = np.atleast_2d(np.asarray(matrix, dtype=float))
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
-        self.matrix = m.copy()
-        self.matrix.flags.writeable = False
+        self.matrix = _read_only(m.copy())
 
     @property
     def shape(self):

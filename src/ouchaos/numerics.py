@@ -65,7 +65,7 @@ class QuadScheme:
         return cls(kind="monte_carlo", samples=samples, seed=seed, tolerance=tolerance)
 
     @classmethod
-    def default_for(cls, dim, degree, seed=0):
+    def default_for(cls, dim, degree=10, seed=0):
         """Tensor Gauss-Hermite with degree + 2 nodes per axis for dim <= 4,
         Monte Carlo fallback above that."""
         if dim <= 4:
@@ -94,11 +94,30 @@ def _hermite_rule(n):
     return _read_only((x, w / math.sqrt(2.0 * math.pi)))
 
 
-def _read_only(arrays):
-    """The arrays, marked read-only so that a cache can share them."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+def _read_only(value):
+    """value, with every array in it or in its nested tuples made read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def _kept(fn):
+    """Run fn(owner, *args) once per owner and per float arguments; keep the
+    result read-only, for every caller to share, in the owner's __dict__,
+    under fn's qualified name so that the owner still pickles."""
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def kept(owner, *args, **kwargs):
+        key = (name, *map(float, args), *kwargs.items())
+        memo = owner.__dict__.setdefault("_kept", {})
+        if key not in memo:
+            memo[key] = _read_only(fn(owner, *args, **kwargs))
+        return memo[key]
+    return kept
 
 
 def gh_tensor(dim, n):

@@ -29,8 +29,8 @@ from .errors import (NotContraction, NotSelfAdjoint, NotStrictContraction,
 from .chaos import ChaosExpansion, MultiIndex, _indices, _symmetric_powers
 from .gaussian import (LinearMap, SpectralGaussian, cm_inner, pinv_sqrt_apply,
                        white_noise)
-from .numerics import (QuadScheme, _gauss_average, _read_only, gauss_expect,
-                       psd_sqrt, rule_size)
+from .numerics import (QuadScheme, _gauss_average, _kept, _read_only,
+                       gauss_expect, psd_sqrt, rule_size)
 
 PERMANENT_MAX_SIZE = 12
 CONTRACTION_SLACK = 1e-12
@@ -54,13 +54,9 @@ class CMContraction:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         # kernel directions carry no Cameron-Martin mass on either side
-        m = m * nu.support[:, None] * mu.support[None, :]
+        self.matrix = _read_only(m * nu.support[:, None] * mu.support[None, :])
         self.mu = mu
         self.nu = nu
-        self.matrix = m
-        self.matrix.flags.writeable = False
-        self._svd = None
-        self._mehler = None
 
     @classmethod
     def identity(cls, mu):
@@ -70,10 +66,9 @@ class CMContraction:
     def scalar(cls, mu, c):
         return cls(mu, mu, c * np.eye(mu.dim))
 
+    @_kept
     def _decomposition(self):
-        if self._svd is None:
-            self._svd = _read_only(np.linalg.svd(self.matrix))
-        return self._svd
+        return np.linalg.svd(self.matrix)
 
     @property
     def singular_values(self):
@@ -203,21 +198,20 @@ def degree_block(T, n):
     return block
 
 
+@_kept
 def mehler_factors(T):
     """Mean map A = extension of T* and covariance columns of the noise part:
     Gamma(T)f(x) = E[f(Ax + cols @ xi)] with xi standard normal.  Both are
     computed once per T and returned read-only."""
-    if T._mehler is None:
-        T.require_contraction()
-        m = T.matrix
-        gram_defect = np.eye(T.mu.dim) - m.T @ m
-        try:
-            root = psd_sqrt(gram_defect, neg_tol=CLAMP_REJECT)
-        except ValueError as exc:
-            raise NotContraction(str(exc)) from exc
-        a = x_extension(T.adjoint).matrix
-        T._mehler = _read_only((a, T.mu.scale[:, None] * root))
-    return T._mehler
+    T.require_contraction()
+    m = T.matrix
+    gram_defect = np.eye(T.mu.dim) - m.T @ m
+    try:
+        root = psd_sqrt(gram_defect, neg_tol=CLAMP_REJECT)
+    except ValueError as exc:
+        raise NotContraction(str(exc)) from exc
+    a = x_extension(T.adjoint).matrix
+    return a, T.mu.scale[:, None] * root
 
 
 def gamma_integral_apply(T, f, x, scheme=None):
@@ -231,7 +225,7 @@ def gamma_integral_apply(T, f, x, scheme=None):
     """
     a, cols = mehler_factors(T)
     if scheme is None:
-        scheme = QuadScheme.default_for(T.mu.dim, 10)
+        scheme = QuadScheme.default_for(T.mu.dim)
     return _average_at(f, a, x, cols, scheme)
 
 
@@ -303,12 +297,12 @@ def _nested_rules(T, scheme=None, inner_scheme=None):
     after checking that their nested rule stays within NESTED_MAX_EVALS."""
     a, cols = mehler_factors(T)
     if scheme is None:
-        scheme = QuadScheme.default_for(T.nu.dim, 10)
+        scheme = QuadScheme.default_for(T.nu.dim)
     if inner_scheme is None:
         if scheme.kind == "tensor_gauss_hermite":
             inner_scheme = scheme
         else:
-            inner_scheme = QuadScheme.default_for(T.mu.dim, 10)
+            inner_scheme = QuadScheme.default_for(T.mu.dim)
     outer = rule_size(scheme, T.nu.sqrt_cols())
     inner = rule_size(inner_scheme, cols)
     if outer * inner > NESTED_MAX_EVALS:

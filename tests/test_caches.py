@@ -1,14 +1,18 @@
 """Shared caches hand out only values no caller can change.
 
-A ``functools.lru_cache`` result, and a factorisation an object keeps for
-later calls, is the same object for every caller; one in-place write would
-change every later result.  Each cached function of the package must be
-listed in SAMPLES with arguments to call it with, so a cache added later
-without an entry fails here.
+A ``functools.lru_cache`` result, and a value that ``numerics._kept`` keeps
+on its owner for later calls, is the same object for every caller; one
+in-place write would change every later result.  Each cached function of
+the package must be listed in SAMPLES, and each kept one in KEPT_SAMPLES,
+with arguments to call it with, so a cache added later without an entry
+fails here.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
+import pickle
 import pkgutil
 
 import numpy as np
@@ -34,6 +38,27 @@ SAMPLES = {
 }
 
 
+def heat_model():
+    return build_preset("heat1d", {"dim": 3})
+
+
+def contraction():
+    mu = SpectralGaussian([1.0, 0.5])
+    return CMContraction(mu, mu, [[0.5, 0.1], [0.0, 0.4]])
+
+
+# kept function -> (owner factory, argument tuples after the owner)
+KEPT_SAMPLES = {
+    "evolution.OUModel.q_ts": (heat_model, [(0, 1), (0.0, 0.5)]),
+    "evolution.OUModel._q_root": (heat_model, [(0.0, 0.5)]),
+    "evolution.OUModel.q_t_inf": (heat_model, [(1.0,), (1.0, 1e-6)]),
+    "evolution.OUModel.measure_at": (heat_model, [(1,)]),
+    "evolution.pst_contraction": (heat_model, [(0.0, 0.5), (0.5, 0.5)]),
+    "secondquant.CMContraction._decomposition": (contraction, [()]),
+    "secondquant.mehler_factors": (contraction, [()]),
+}
+
+
 def cached_functions():
     """module.name of every lru_cache'd function the package defines, at
     module level or on a class."""
@@ -48,6 +73,23 @@ def cached_functions():
                 if (hasattr(obj, "cache_info")
                         and getattr(obj, "__module__", None) == module.__name__):
                     found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def kept_functions():
+    """module.name, or module.Class.name for a method, of every function the
+    package source decorates with ``_kept``."""
+    found = []
+    for path in sorted(pathlib.Path(ouchaos.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, tree)] + [
+            (f"{path.stem}.{node.name}", node) for node in tree.body
+            if isinstance(node, ast.ClassDef)]
+        for prefix, scope in scopes:
+            found += [f"{prefix}.{node.name}" for node in scope.body
+                      if isinstance(node, ast.FunctionDef)
+                      and any(isinstance(d, ast.Name) and d.id == "_kept"
+                              for d in node.decorator_list)]
     return found
 
 
@@ -73,6 +115,33 @@ def test_cached_results_are_read_only(name):
         result = fn(*args)
         assert fn(*args) is result
         assert mutable_parts(result) == []
+
+
+def test_every_kept_function_has_sample_arguments():
+    assert sorted(kept_functions()) == sorted(KEPT_SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_SAMPLES))
+def test_kept_results_are_read_only(name):
+    module, *path = name.split(".")
+    fn = importlib.import_module(f"ouchaos.{module}")
+    for attr in path:
+        fn = getattr(fn, attr)
+    make_owner, samples = KEPT_SAMPLES[name]
+    owner = make_owner()
+    for args in samples:
+        result = fn(owner, *args)
+        assert fn(owner, *args) is result
+        assert fn(owner, *map(float, args)) is result
+        assert mutable_parts(result) == []
+
+
+def test_kept_values_leave_their_owner_picklable():
+    t_op = contraction()
+    mehler_factors(t_op)
+    copy = pickle.loads(pickle.dumps(t_op))
+    assert copy.op_norm == t_op.op_norm
+    assert np.array_equal(mehler_factors(copy)[1], mehler_factors(t_op)[1])
 
 
 def test_mutable_parts_sees_writable_arrays():
@@ -189,3 +258,21 @@ def test_cached_covariances_cannot_be_overwritten():
     f = lambda p: p[:, 0] ** 2 - p[:, 2]
     x = np.array([0.2, -0.1, 0.4])
     assert pst_apply(model, f, 0.0, 1.0, x) == pst_apply(fresh, f, 0.0, 1.0, x)
+
+
+def test_certificate_loop_runs_once_per_time(monkeypatch):
+    loops = []
+    real = evolution.OUModel._tail_certificate
+
+    def counting(self, delta):
+        if delta == 1.0:  # each loop of q_t_inf starts at delta = 1
+            loops.append(delta)
+        return real(self, delta)
+
+    monkeypatch.setattr(evolution.OUModel, "_tail_certificate", counting)
+    model = heat_model()
+    f = lambda p: p[:, 0] * p[:, 1] - p[:, 2]
+    pst_contraction(model, 0.0, 0.5)
+    model.q_t_inf(0.5)
+    decay_ratio(model, f, 2.0, 0.0, 0.5, degree=2)
+    assert len(loops) == 2

@@ -11,7 +11,7 @@ from ouchaos.gaussian import (LinearMap, SpectralGaussian,
                               cameron_martin_density, cm_inner, exp_functional,
                               expect, pinv_sqrt_apply, range_ratio_norm,
                               sqrt_apply, white_noise)
-from ouchaos.numerics import QuadScheme
+from ouchaos.numerics import _MC_BATCH, QuadScheme
 from ouchaos.secondquant import CMContraction, x_extension
 
 
@@ -150,6 +150,20 @@ def test_sampling_degenerate_and_deterministic():
     assert np.all(g.sample(3, seed=5) == 0.0)
     g2 = SpectralGaussian([1.0, 2.0])
     assert np.array_equal(g2.sample(100, seed=9), g2.sample(100, seed=9))
+
+
+def test_sample_draws_each_batch_from_its_jumped_substream():
+    g = SpectralGaussian([2.0, 0.5])
+    scale = np.sqrt([2.0, 0.5])
+    n = _MC_BATCH + 5
+    xs = g.sample(n, seed=11)
+    # the formula sample used when all of its draws came from one stream
+    one_stream = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    old = one_stream.standard_normal((n, g.dim)) * scale[None, :]
+    assert np.array_equal(xs[:_MC_BATCH], old[:_MC_BATCH])
+    second = np.random.Generator(np.random.Philox(key=np.uint64(11)).jumped(1))
+    assert np.array_equal(xs[_MC_BATCH:],
+                          second.standard_normal((5, g.dim)) * scale[None, :])
 
 
 def test_exp_functional_values():
