@@ -11,6 +11,7 @@ products of white noises.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from functools import lru_cache
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                      SizeTooLarge)
-from .numerics import QuadScheme, _read_only, _rule_batches, eval_batch
+from .numerics import (QuadScheme, _hermite_rule, _read_only, _rule_batches,
+                       eval_batch)
 
 HERMITE_MAX_DEGREE = 60
 MONOMIAL_MAX_FACTORS = 8
@@ -136,6 +138,11 @@ def _sqrt_factorials(d, n):
                                 for alpha in _indices(d, n)]))
 
 
+def _sqrt_factorial_column(top):
+    """sqrt(k!) for k = 0..top."""
+    return np.concatenate([_sqrt_factorials(1, k) for k in range(top + 1)])
+
+
 def enumerate_indices(d, n):
     """All multi-indices of length d with |alpha| = n, in graded colex order;
     there are C(n+d-1, n) of them."""
@@ -190,22 +197,44 @@ def phi_alpha(gamma, alpha, x):
 
 
 def _hermite_sum(gamma, terms, x):
-    """Sum of c * Phi_alpha(x) over the (alpha, c) in terms, from one phi
-    table per supported coordinate; x is a point or a batch."""
-    top = 0
-    for alpha, _ in terms:
-        if any(e > 0 and not s for e, s in zip(alpha, gamma.support)):
-            raise OffSupport("multi-index loads a kernel direction")
-        top = max(top, max(alpha, default=0))
+    """Sum of c * Phi_alpha(x) over the (alpha, c) in terms; x is a point or
+    a batch.
+
+    The multi-indices form one integer table, and one table holds
+    He_k/sqrt(k!) = sqrt(k!) phi_k at every loaded coordinate of every
+    point, so c * Phi_alpha at all points and for all terms is c times a
+    product over the coordinates of entries picked from it; the sum runs
+    along each row of that points x terms matrix.  Points are taken in
+    chunks that keep the matrix within BLOCK_MAX_ENTRIES entries; a row is
+    summed alone, so a point's value does not depend on the chunk it falls
+    in.
+    """
+    terms = list(terms)
+    alphas = np.fromiter(itertools.chain.from_iterable(a for a, _ in terms),
+                         dtype=int, count=len(terms) * gamma.dim).reshape(
+                             len(terms), gamma.dim)
+    coeffs = np.fromiter((c for _, c in terms), dtype=float, count=len(terms))
+    loaded = np.flatnonzero(alphas.any(axis=0))
+    if not gamma.support[loaded].all():
+        raise OffSupport("multi-index loads a kernel direction")
+    top = int(alphas.max(initial=0))
     if top > HERMITE_MAX_DEGREE:
         raise DegreeTooLarge(f"degree {top} exceeds the recurrence budget")
+    picks = alphas[:, loaded]
+    root = _sqrt_factorial_column(top)[:, None]
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
-    tables = _support_tables(gamma, x, top)
-    out = np.zeros(len(x))
-    for alpha, c in terms:
-        out += c * _phi_from_tables(alpha, tables, len(x))
+    out = np.empty(len(x))
+    step = max(1, BLOCK_MAX_ENTRIES // max(len(terms), 1))
+    for start in range(0, len(x), step):
+        xi = x[start:start + step, loaded] / gamma.scale[loaded]
+        tables = (_phi_table(xi.reshape(-1), top) * root).reshape(
+            (top + 1,) + xi.shape)
+        values = np.repeat(coeffs[None, :], len(xi), axis=0)
+        for i in range(len(loaded)):
+            values *= tables[:, :, i].T[:, picks[:, i]]
+        out[start:start + step] = values.sum(axis=1)
     return float(out[0]) if single else out
 
 
@@ -272,23 +301,33 @@ def _phi_from_tables(alpha, tables, m):
 def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     """Chaos coefficients c_alpha = integral of f * Phi_alpha against gamma.
 
-    With expect_polynomial=True the Parseval residual
+    A Gauss-Hermite grid is projected by sum factorisation
+    (:func:`_sum_factorised`); Monte Carlo draws have no tensor structure
+    and are streamed batch by batch, one pass over each batch per
+    multi-index.  With expect_polynomial=True the Parseval residual
     ||f||^2 - sum c_alpha^2 is computed on the same grid and must stay below
     the scheme tolerance (default 1e-9), otherwise SchemeTooCoarse is raised;
     the residual is stored on the returned expansion either way.
     """
     if scheme is None:
         scheme = QuadScheme.default_for(int(gamma.support.sum()), max_degree)
+    kernel = np.flatnonzero(~gamma.support).tolist()
     alphas = [a for a in enumerate_up_to(gamma.dim, max_degree)
-              if all(e == 0 or gamma.support[j] for j, e in enumerate(a))]
+              if not any(a[j] for j in kernel)]
     sums = np.zeros(len(alphas))
     sq_mass = 0.0
     for x, w in _rule_batches(scheme, gamma.sqrt_cols()):
         fv = eval_batch(f, x)
-        tables = _support_tables(gamma, x, max_degree)
-        for i, a in enumerate(alphas):
-            sums[i] += np.dot(w, fv * _phi_from_tables(a, tables, len(x)))
         sq_mass += float(np.dot(w, fv * fv))
+        if scheme.kind == "monte_carlo":
+            tables = _support_tables(gamma, x, max_degree)
+            for i, a in enumerate(alphas):
+                sums[i] += np.dot(w, fv * _phi_from_tables(a, tables, len(x)))
+        else:
+            # the grid has scheme.nodes points on each supported axis, and
+            # both lists of indices run in graded colex order
+            sums = _sum_factorised(
+                fv, (scheme.nodes,) * int(gamma.support.sum()), max_degree)
     coeffs = dict(zip(alphas, sums.tolist()))
     residual_sq = sq_mass - sum(c * c for c in coeffs.values())
     residual = math.sqrt(max(residual_sq, 0.0))
@@ -300,6 +339,54 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
             raise SchemeTooCoarse(
                 f"polynomial reconstruction residual {residual:.3e} above budget")
     return ChaosExpansion(gamma, max_degree, coeffs, residual=residual)
+
+
+def _sum_factorised(values, nodes, max_degree):
+    """sum_i values[i] prod_k B_k[alpha_k, i_k] for every alpha of len(nodes)
+    entries with |alpha| <= max_degree, in graded colex order, where values
+    lie on the tensor Gauss-Hermite grid with nodes[k] points on axis k
+    (last axis fastest) and B_k is _weighted_basis(nodes[k], max_degree):
+    the chaos coefficients of the values over that grid.
+
+    The sum factorises over the axes (Orszag 1980), so the axes are
+    contracted one at a time, each by one matrix product, and after each
+    only the partial indices of total degree <= max_degree are kept
+    (:func:`_degree_cut`): after k axes the intermediate holds
+    C(max_degree + k, k) * prod(nodes[k:]) entries.  The product for axis
+    k, before the cut, holds (max_degree + 1)/nodes[k] times the entries
+    of the intermediate it starts from.
+    """
+    rows = np.reshape(values, (1, -1))
+    for k, n in enumerate(nodes):
+        product = np.matmul(_weighted_basis(n, max_degree),
+                            rows.reshape(len(rows), n, -1))
+        rows = product.reshape(-1, product.shape[2])[_degree_cut(k, max_degree)]
+    return rows[:, 0]
+
+
+@lru_cache(maxsize=None)
+def _degree_cut(k, max_degree):
+    """Rows to keep, in order, of the product of :func:`_sum_factorised` for
+    axis k.  Its rows are the partial indices p over axes 0..k-1 of degree
+    <= max_degree in graded colex order, and the product puts (p, j), for
+    alpha_k = j, at row p * (max_degree + 1) + j.  The kept rows are those
+    with deg p + j <= max_degree, in graded colex order of the extended
+    indices: by degree, then by j, then by p."""
+    counts = [math.comb(d + k - 1, d) if k else int(d == 0)
+              for d in range(max_degree + 1)]
+    starts = np.cumsum([0] + counts)
+    return _read_only(np.concatenate([
+        np.arange(starts[e - j], starts[e - j + 1]) * (max_degree + 1) + j
+        for e in range(max_degree + 1) for j in range(e + 1)]))
+
+
+@lru_cache(maxsize=None)
+def _weighted_basis(n, max_degree):
+    """B[k, i] = w_i sqrt(k!) phi_k(x_i) = w_i He_k(x_i)/sqrt(k!) over the
+    kept n-point Gauss-Hermite rule (x, w), for k = 0..max_degree."""
+    x, w = _hermite_rule(n)
+    root = _sqrt_factorial_column(max_degree)
+    return _read_only(_phi_table(x, max_degree) * root[:, None] * w[None, :])
 
 
 def exp_functional_coeffs(gamma, z, max_degree):

@@ -15,7 +15,8 @@ import json
 import numpy as np
 
 from .errors import Incomparable, OffRange
-from .numerics import _philox_batches, _read_only, gauss_expect
+from .numerics import (_philox_batches, _read_only, _restore_read_only,
+                       gauss_expect)
 
 KERNEL_TOL = 1e-12
 OFF_RANGE_TOL = 1e-8
@@ -36,6 +37,8 @@ class SpectralGaussian:
         self._support = _read_only(lam > KERNEL_TOL * lam.max())
         self._scale = _read_only(np.where(self._support, np.sqrt(lam), 0.0))
         self._inv_scale = _read_only(_over_scale(self, 1.0))
+
+    __setstate__ = _restore_read_only
 
     @property
     def dim(self):
@@ -182,6 +185,8 @@ class LinearMap:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix entries must be finite")
         self.matrix = _read_only(m.copy())
+
+    __setstate__ = _restore_read_only
 
     @property
     def shape(self):

@@ -120,6 +120,17 @@ def _kept(fn):
     return kept
 
 
+def _restore_read_only(owner, state):
+    """__setstate__ for an owner of read-only arrays: pickling does not keep
+    the flag, so every array of the restored __dict__ and every value that
+    :func:`_kept` keeps on the owner is made read-only again."""
+    owner.__dict__.update(state)
+    for value in state.values():
+        _read_only(value)
+    for value in state.get("_kept", {}).values():
+        _read_only(value)
+
+
 def gh_tensor(dim, n):
     """Tensor-product Gauss-Hermite grid: points of shape (n**dim, dim),
     the last axis varying fastest, and the matching product weights."""

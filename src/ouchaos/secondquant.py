@@ -30,7 +30,7 @@ from .chaos import ChaosExpansion, MultiIndex, _indices, _symmetric_powers
 from .gaussian import (LinearMap, SpectralGaussian, cm_inner, pinv_sqrt_apply,
                        white_noise)
 from .numerics import (QuadScheme, _gauss_average, _kept, _read_only,
-                       gauss_expect, psd_sqrt, rule_size)
+                       _restore_read_only, gauss_expect, psd_sqrt, rule_size)
 
 PERMANENT_MAX_SIZE = 12
 CONTRACTION_SLACK = 1e-12
@@ -57,6 +57,8 @@ class CMContraction:
         self.matrix = _read_only(m * nu.support[:, None] * mu.support[None, :])
         self.mu = mu
         self.nu = nu
+
+    __setstate__ = _restore_read_only
 
     @classmethod
     def identity(cls, mu):

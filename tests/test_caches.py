@@ -23,7 +23,7 @@ import ouchaos
 from ouchaos import evolution, numerics, secondquant
 from ouchaos.evolution import (decay_ratio, pst_apply, pst_contraction,
                                pst_via_second_quant)
-from ouchaos.gaussian import SpectralGaussian
+from ouchaos.gaussian import LinearMap, SpectralGaussian
 from ouchaos.numerics import QuadScheme, gauss_rule, gh_nodes
 from ouchaos.presets import build_preset
 from ouchaos.secondquant import (CMContraction, gamma_integral_apply,
@@ -32,7 +32,9 @@ from ouchaos.secondquant import (CMContraction, gamma_integral_apply,
 SAMPLES = {
     "chaos._indices": [(1, 0), (3, 2)],
     "chaos._index_tables": [(3, 2)],
+    "chaos._degree_cut": [(0, 3), (2, 4)],
     "chaos._sqrt_factorials": [(3, 2)],
+    "chaos._weighted_basis": [(2, 5), (6, 4)],
     "numerics._legendre_rule": [(8,)],
     "numerics._hermite_rule": [(1,), (12,)],
 }
@@ -142,6 +144,30 @@ def test_kept_values_leave_their_owner_picklable():
     copy = pickle.loads(pickle.dumps(t_op))
     assert copy.op_norm == t_op.op_norm
     assert np.array_equal(mehler_factors(copy)[1], mehler_factors(t_op)[1])
+
+
+def test_pickled_owners_keep_their_arrays_read_only():
+    mu = SpectralGaussian([1.0, 0.5, 0.0])
+    nu = SpectralGaussian([2.0, 0.3, 0.7])
+    t_op = CMContraction(mu, nu, [[0.5, 0.1, 0.0], [0.0, 0.4, 0.0],
+                                  [0.1, 0.0, 0.2]])
+    t_op.singular_values
+    mehler_factors(t_op)
+    lin = LinearMap([[1.0, 2.0], [3.0, 4.0]])
+    for owner in (mu, lin, t_op):
+        copy = pickle.loads(pickle.dumps(owner))
+        parts = [vars(copy)] + [vars(m) for m in (getattr(copy, "mu", None),
+                                                  getattr(copy, "nu", None)) if m]
+        arrays = [v for state in parts for v in state.values()
+                  if isinstance(v, np.ndarray)]
+        kept = [v for state in parts for v in state.get("_kept", {}).values()]
+        assert arrays and all(not a.flags.writeable for a in arrays)
+        assert all(mutable_parts(v) == [] for v in kept)
+        assert len(kept) == (2 if owner is t_op else 0)
+        for name, value in vars(owner).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(vars(copy)[name], value)
+    assert np.array_equal(mehler_factors(copy)[0], mehler_factors(t_op)[0])
 
 
 def test_mutable_parts_sees_writable_arrays():

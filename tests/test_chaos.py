@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import HermiteE
 
+from ouchaos import chaos
 from ouchaos.chaos import (ChaosExpansion, MultiIndex, enumerate_indices,
                            enumerate_up_to, eval_expansion,
                            exp_functional_coeffs, hermite_phi, l2_norm,
@@ -178,6 +179,122 @@ def test_project_monte_carlo_is_the_weighted_rule_sum():
             want = np.dot(w, fv * phi_alpha(g, alpha, pts))
             assert e[alpha] == pytest.approx(want, rel=1e-12, abs=1e-15)
     assert all(a[1] == 0 for a in e.coeffs)
+
+
+def orthonormal_hermite(e, xi):
+    """He_e(xi)/sqrt(e!) from numpy's own HermiteE series."""
+    return HermiteE.basis(e)(xi) / math.sqrt(math.factorial(e))
+
+
+def per_term_sum(gamma, terms, pts):
+    """Sum of c * Phi_alpha over the (alpha, c) in terms, one term at a time:
+    the reference for the table evaluator behind eval_expansion."""
+    xi = np.atleast_2d(pts) * gamma.inv_scale
+    out = np.zeros(len(xi))
+    for alpha, c in terms:
+        phi = np.full(len(xi), c)
+        for j, e in enumerate(alpha):
+            if e:
+                phi = phi * orthonormal_hermite(e, xi[:, j])
+        out += phi
+    return out
+
+
+def per_index_projection(gamma, f, max_degree, nodes):
+    """c_alpha = sum_i w_i f(x_i) Phi_alpha(x_i) over the tensor grid, one
+    pass over the grid per multi-index: the reference for the sum-factorised
+    projection."""
+    pts, w = gauss_rule(QuadScheme.gauss_hermite(nodes), gamma.sqrt_cols())
+    fv = f(pts)
+    out = {}
+    for alpha in enumerate_up_to(gamma.dim, max_degree):
+        if any(e and not s for e, s in zip(alpha, gamma.support)):
+            out[alpha] = 0.0
+        else:
+            out[alpha] = float(np.dot(w, per_term_sum(gamma, [(alpha, 1.0)], pts) * fv))
+    return out
+
+
+ORACLE_MEASURES = [[1.2], [0.7, 1.3], [1.5, 0.4, 0.9], [0.6, 1.1, 0.8, 1.4],
+                   [1.0, 1e-14, 0.0, 2.0]]
+
+
+@pytest.mark.parametrize("lam", ORACLE_MEASURES, ids=lambda lam: f"dim{len(lam)}")
+@pytest.mark.parametrize("degree", range(6))
+@pytest.mark.parametrize("fine", [False, True], ids=["truncating", "fine"])
+def test_project_on_a_grid_matches_the_per_index_loop(lam, degree, fine):
+    g = SpectralGaussian(lam)
+    rng = np.random.default_rng(len(lam) * 10 + degree)
+    a, b, c = rng.uniform(-0.5, 0.5, (3, g.dim))
+    f = lambda p: np.cos(p @ a) + (p @ b) ** 3 + p[:, 0] * (p @ c)
+    # fewer nodes than degree + 1 leave some partial indices to cut off
+    nodes = degree + 3 if fine else max(1, degree // 2)
+    e = project(g, f, degree, QuadScheme.gauss_hermite(nodes))
+    want = per_index_projection(g, f, degree, nodes)
+    gap = max(abs(e[alpha] - w) for alpha, w in want.items())
+    assert gap <= 1e-14
+
+
+def test_sum_factorised_takes_per_axis_node_counts():
+    nodes = (2, 5, 3)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(nodes)
+    tables = [chaos._weighted_basis(n, 4) for n in nodes]
+    want = [np.einsum("i,j,k,ijk->", tables[0][a0], tables[1][a1], tables[2][a2],
+                      values) for a0, a1, a2 in enumerate_up_to(3, 4)]
+    got = chaos._sum_factorised(values.reshape(-1), nodes, 4)
+    assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def table_evaluator_cases():
+    g = SpectralGaussian([1.3, 0.0, 0.6, 2.0])
+    rng = np.random.default_rng(11)
+    alphas = [a for a in enumerate_up_to(4, 5) if a[1] == 0]
+    coeffs = dict(zip(alphas, rng.uniform(-1.0, 1.0, len(alphas))))
+    return g, ChaosExpansion(g, 5, coeffs), g.sample(40, seed=5)
+
+
+def test_table_evaluator_matches_the_per_term_loop():
+    g, e, pts = table_evaluator_cases()
+    assert eval_expansion(e, pts) == pytest.approx(
+        per_term_sum(g, e.coeffs.items(), pts), rel=1e-14, abs=1e-14)
+    assert eval_expansion(e, pts[3]) == pytest.approx(
+        per_term_sum(g, e.coeffs.items(), pts[3])[0], rel=1e-14, abs=1e-14)
+    for alpha in [(0, 0, 0, 0), (2, 0, 0, 3), (0, 0, 5, 0), (1, 0, 1, 1)]:
+        assert phi_alpha(g, alpha, pts) == pytest.approx(
+            per_term_sum(g, [(alpha, 1.0)], pts), rel=1e-14, abs=1e-14)
+        assert phi_alpha(g, alpha, pts[0]) == pytest.approx(
+            per_term_sum(g, [(alpha, 1.0)], pts[0])[0], rel=1e-14, abs=1e-14)
+    xs = pts[:, 0]
+    for n in range(6):
+        assert hermite_phi(n, xs) == pytest.approx(
+            HermiteE.basis(n)(xs) / math.factorial(n), rel=1e-14, abs=1e-14)
+        assert hermite_phi(n, xs[1]) == pytest.approx(
+            HermiteE.basis(n)(xs[1]) / math.factorial(n), rel=1e-14, abs=1e-14)
+
+
+def test_table_evaluator_chunks_give_the_small_batch_values(monkeypatch):
+    g, e, pts = table_evaluator_cases()
+    small = np.concatenate([eval_expansion(e, pts[i:i + 4])
+                            for i in range(0, len(pts), 4)])
+    # a budget of three points' worth of terms splits the batch in 14 chunks
+    monkeypatch.setattr(chaos, "BLOCK_MAX_ENTRIES", 3 * len(e.coeffs))
+    chunked = eval_expansion(e, pts)
+    assert np.array_equal(chunked, small)
+    assert np.array_equal(chunked, [eval_expansion(e, p) for p in pts])
+
+
+def test_table_evaluator_checks_every_term():
+    g = SpectralGaussian([1.0, 0.0])
+    with pytest.raises(DegreeTooLarge):
+        phi_alpha(g, (61, 0), [0.1, 0.0])
+    with pytest.raises(DegreeTooLarge):
+        eval_expansion(ChaosExpansion(g, 61, {(1, 0): 1.0, (61, 0): 0.5}),
+                       np.zeros((2, 2)))
+    # a kernel load is reported before any degree beyond the cap
+    with pytest.raises(OffSupport):
+        eval_expansion(ChaosExpansion(g, 61, {(61, 0): 0.5, (0, 1): 1.0}),
+                       np.zeros((2, 2)))
 
 
 def test_exp_functional_coeffs_one_dim():
