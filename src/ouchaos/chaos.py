@@ -303,8 +303,9 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
 
     A Gauss-Hermite grid is projected by sum factorisation
     (:func:`_sum_factorised`); Monte Carlo draws have no tensor structure
-    and are streamed batch by batch, one pass over each batch per
-    multi-index.  With expect_polynomial=True the Parseval residual
+    and are streamed in the pieces of 8 192 points that the rule hands
+    out, one pass over each piece per multi-index.  With
+    expect_polynomial=True the Parseval residual
     ||f||^2 - sum c_alpha^2 is computed on the same grid and must stay below
     the scheme tolerance (default 1e-9), otherwise SchemeTooCoarse is raised;
     the residual is stored on the returned expansion either way.

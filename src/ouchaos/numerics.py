@@ -10,7 +10,9 @@ place.  Gauss-Hermite rules are the probabilists' ones (weight
 module.  Monte Carlo uses the counter-based Philox generator with one
 substream per fixed-size batch, so results depend only on the seed and the
 sample count, never on scheduling; :func:`mc_estimate` runs the same batch
-loop for a caller's own sampler.
+loop for a caller's own sampler.  The rule itself draws and averages each
+batch in pieces of 8 192 points through two reused buffers, and merges the
+standard errors piece by piece.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ GH_MAX_NODES = 128
 # hard cap on tensor-grid size before the scheme must switch to Monte Carlo
 _GRID_CAP = 4_000_000
 _MC_BATCH = 1 << 16
+# Monte Carlo rules are streamed in pieces of this many points; divides _MC_BATCH
+_MC_PIECE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -239,7 +243,8 @@ def gauss_rule(scheme, cols):
     weights 1/n.  Points have shape (n, d).  This is the rule that
     :func:`_gauss_average` and ``chaos.project`` stream piece by piece.
     """
-    pieces = list(_rule_batches(scheme, cols))
+    # Monte Carlo pieces share the buffers of _rule_batches; keep copies
+    pieces = [(pts.copy(), wts) for pts, wts in _rule_batches(scheme, cols)]
     if len(pieces) == 1:
         return pieces[0]
     pts, wts = zip(*pieces)
@@ -248,15 +253,29 @@ def gauss_rule(scheme, cols):
 
 def _rule_batches(scheme, cols):
     """The rule of :func:`gauss_rule` in pieces: the whole tensor grid, or
-    one piece per Philox batch of draws, all of them sharing one array of
-    weights 1/n.  Points are freshly built, so a consumer may shift them in
-    place."""
+    each Philox batch of draws in pieces of 8 192 points (_MC_PIECE), all
+    of them sharing one array of weights 1/n.
+
+    A batch is drawn from its own generator piece after piece, which gives
+    the same draws as one call for the whole batch.  Every Monte Carlo
+    piece is a view into the same two buffers, one of draws and one of
+    mapped points, refilled for the next piece: a consumer may shift a
+    piece in place, but must copy what it keeps.  Reusing two small
+    buffers spares the allocator two batch-sized arrays per batch, and
+    keeps the temporaries of f small."""
     cols = _live_columns(cols)
     m = cols.shape[1]
     if scheme.kind == "monte_carlo" and m > 0:
-        weight = np.full(min(_MC_BATCH, scheme.samples), 1.0 / scheme.samples)
+        piece = min(_MC_PIECE, scheme.samples)
+        weight = np.full(piece, 1.0 / scheme.samples)
+        draws = np.empty((piece, m))
+        pts = np.empty((piece, len(cols)))
         for gen, size in _philox_batches(scheme.seed, scheme.samples):
-            yield gen.standard_normal((size, m)) @ cols.T, weight[:size]
+            for start in range(0, size, piece):
+                k = min(piece, size - start)
+                gen.standard_normal(out=draws[:k])
+                np.matmul(draws[:k], cols.T, out=pts[:k])
+                yield pts[:k], weight[:k]
     else:
         pts, wts = gh_tensor(m, scheme.nodes)
         yield pts @ cols.T, wts
@@ -268,13 +287,14 @@ def _gauss_average(f, means, cols, scheme):
     error of each; returns two arrays of shape (m,).
 
     The rule is taken one piece of :func:`_rule_batches` at a time, so a
-    Monte Carlo rule is never held whole.  Within a piece the loop runs over
+    Monte Carlo rule is never held whole: each Philox batch is drawn and
+    averaged in pieces of 8 192 points.  Within a piece the loop runs over
     the shorter axis, rows or rule points (rule points on a tie), and f gets
     the other axis as one batch: the piece around one mean (the last row
     shifts the piece in place), or all means shifted by one rule point,
     column-major so that f reads each coordinate contiguously.  Under Monte
     Carlo the standard error comes from each row's centred second moment,
-    merged batch by batch; under Gauss-Hermite it is 0.  With a tolerance,
+    merged piece by piece; under Gauss-Hermite it is 0.  With a tolerance,
     SchemeTooCoarse is raised when any row's standard error exceeds
     ``tolerance * max(1, |value|)``.
     """

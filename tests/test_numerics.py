@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ouchaos import numerics
+from ouchaos.chaos import project
 from ouchaos.errors import QuadratureFailure, SchemeTooCoarse
+from ouchaos.gaussian import SpectralGaussian
 from ouchaos.numerics import (QuadScheme, _gauss_average, eval_batch,
                               gauss_expect, gauss_expect_err, gauss_rule,
                               gh_nodes, gh_tensor, mc_estimate,
@@ -161,8 +164,27 @@ def test_gauss_rule_monte_carlo_draws_are_those_of_mc_estimate():
     assert np.dot(w, f(pts)) == pytest.approx(est, rel=1e-12)
 
 
+def test_gauss_rule_points_are_the_philox_draws_of_each_batch():
+    # 70 000 samples span two Philox batches, and the zero column is pruned;
+    # the rule keeps copies of the pieces, so a second call leaves it alone
+    scheme = QuadScheme.monte_carlo(70_000, seed=5)
+    cols = np.array([[0.8, 0.0, 0.1], [0.0, 0.0, 0.5]])
+    pts, _ = gauss_rule(scheme, cols)
+    for piece, _ in numerics._rule_batches(scheme, cols):
+        assert not np.shares_memory(pts, piece)
+    live = cols[:, [0, 2]]
+    want = []
+    for k, start in enumerate(range(0, 70_000, numerics._MC_BATCH)):
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(5)).jumped(k))
+        size = min(numerics._MC_BATCH, 70_000 - start)
+        want.append(gen.standard_normal((size, 2)) @ live.T)
+    assert len(want) == 2
+    assert np.array_equal(pts, np.concatenate(want))
+
+
 def test_one_point_monte_carlo_is_mc_estimate_on_the_same_draws():
-    # 70 000 samples span two Philox batches; f sees one batch at a time
+    # 70 000 samples span two Philox batches; f sees one piece of a batch at
+    # a time, eight pieces of the first batch and the second batch whole
     scheme = QuadScheme.monte_carlo(70_000, seed=9)
     mean = np.array([0.3, -0.1])
     cols = np.array([[0.8, 0.1], [0.0, 0.5]])
@@ -176,7 +198,7 @@ def test_one_point_monte_carlo_is_mc_estimate_on_the_same_draws():
         return mean + gen.standard_normal((size, 2)) @ cols.T
 
     est, err = gauss_expect_err(f, mean, cols, scheme)
-    assert sizes == [numerics._MC_BATCH, 70_000 - numerics._MC_BATCH]
+    assert sizes == [8192] * 8 + [4464]
     want, want_err = mc_estimate(f, sampler, 70_000, seed=9)
     assert est == pytest.approx(want, rel=1e-12)
     assert err == pytest.approx(want_err, rel=1e-12)
@@ -256,6 +278,34 @@ def test_gauss_average_streams_monte_carlo_batches(rows, monkeypatch):
     want = [np.dot(w, np.exp(0.5 * (m + pts)[:, 0]) + (m + pts)[:, 1] ** 2)
             for m in means]
     assert out == pytest.approx(want, rel=1e-12)
+
+
+def _traced_peak_mb(call):
+    """Peak of the memory tracemalloc sees during call(), after one warm-up
+    call has built every cached rule and table."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route", ["gauss_expect_err", "project"])
+def test_monte_carlo_memory_is_bounded_by_a_piece(route):
+    # whole Philox batches of 65 536 points peak at about 10 MB in these
+    # calls; pieces of 8 192 points in two reused buffers under 2 MB
+    if route == "gauss_expect_err":
+        cols = np.diag(np.linspace(1.0, 0.5, 6))
+        f = lambda p: p[:, 0] ** 2 * p[:, 1] + np.sin(p[:, 5])
+        call = lambda: gauss_expect_err(
+            f, np.zeros(6), cols, QuadScheme.monte_carlo(200_000, seed=1))
+    else:
+        g = SpectralGaussian([1.0, 0.5, 0.25])
+        f = lambda p: np.exp(0.3 * p[:, 0]) * p[:, 1] + p[:, 2] ** 2
+        call = lambda: project(g, f, 2, QuadScheme.monte_carlo(110_000, seed=1))
+    assert _traced_peak_mb(call) < 2.5
 
 
 def test_mc_stderr_shrinks_like_sqrt_n():
