@@ -63,12 +63,18 @@ def _colex_key(alpha):
 
 @lru_cache(maxsize=None)
 def _indices(d, n):
+    """The multi-indices of order n in d >= 1 slots, in graded colex order;
+    only this (d, n) is kept, each index built once from plain tuples."""
+    return tuple(map(MultiIndex, _compositions(d, n)))
+
+
+def _compositions(d, n):
     if d == 1:
-        return (MultiIndex((n,)),)
-    out = []
+        yield (n,)
+        return
     for last in range(n + 1):
-        out.extend(MultiIndex(head + (last,)) for head in _indices(d - 1, n - last))
-    return tuple(out)
+        for head in _compositions(d - 1, n - last):
+            yield head + (last,)
 
 
 @lru_cache(maxsize=None)

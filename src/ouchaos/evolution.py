@@ -31,8 +31,9 @@ import numpy as np
 from .chaos import project
 from .errors import HypothesisFailed, NoDecay, NotContraction
 from .gaussian import SpectralGaussian, expect, range_ratio_norm
-from .numerics import QuadScheme, _kept, panel_integrate, psd_sqrt
-from .secondquant import (CMContraction, _average_at, _nested_rules,
+from .numerics import (QuadScheme, _kept, gauss_expect, panel_integrate,
+                       psd_sqrt)
+from .secondquant import (CMContraction, _nested_rules,
                           gamma_integral_apply, gamma_series_apply,
                           lq_norm_gamma, q0_threshold)
 
@@ -299,7 +300,7 @@ def pst_apply(model, f, s, t, x, scheme=None):
         raise ValueError("need s <= t")
     if scheme is None:
         scheme = QuadScheme.default_for(model.dim)
-    return _average_at(f, model.u(t, s), x, model._q_root(s, t), scheme)
+    return gauss_expect(f, x @ model.u(t, s).T, model._q_root(s, t), scheme)
 
 
 @_kept

@@ -1,18 +1,18 @@
 """Shared integration and randomness kernels.
 
 Everything downstream funnels Gaussian expectations through one rule and
-one average over it: :func:`_rule_batches` yields the rule of
+one accumulator: :func:`_rule_batches` yields the rule of
 :func:`gauss_rule` piece by piece, and :func:`_gauss_average` averages f
-over it for a batch of means, with each mean's standard error, so
-quadrature exactness and Monte Carlo determinism are controlled in a single
-place.  Gauss-Hermite rules are the probabilists' ones (weight
+over any stream of weighted pieces for a batch of means, with each mean's
+standard error, so quadrature exactness and Monte Carlo determinism are
+controlled in a single place.  :func:`gauss_expect` hands it the rule for
+one mean or a batch, :func:`mc_estimate` a caller's own sampler's batches.
+Gauss-Hermite rules are the probabilists' ones (weight
 ``exp(-x^2/2)/sqrt(2*pi)``), matching the Hermite family used by the chaos
 module.  Monte Carlo uses the counter-based Philox generator with one
 substream per fixed-size batch, so results depend only on the seed and the
-sample count, never on scheduling; :func:`mc_estimate` runs the same batch
-loop for a caller's own sampler.  The rule itself draws and averages each
-batch in pieces of 8 192 points through two reused buffers, and merges the
-standard errors piece by piece.
+sample count, never on scheduling.  The rule draws each batch in pieces of
+8 192 points through two reused buffers.
 """
 
 from __future__ import annotations
@@ -69,12 +69,12 @@ class QuadScheme:
         return cls(kind="monte_carlo", samples=samples, seed=seed, tolerance=tolerance)
 
     @classmethod
-    def default_for(cls, dim, degree=10, seed=0):
+    def default_for(cls, dim, degree=10):
         """Tensor Gauss-Hermite with degree + 2 nodes per axis for dim <= 4,
-        Monte Carlo fallback above that."""
+        Monte Carlo fallback at seed 0 above that."""
         if dim <= 4:
             return cls.gauss_hermite(min(degree + 2, GH_MAX_NODES))
-        return cls.monte_carlo(200_000, seed=seed)
+        return cls.monte_carlo(200_000)
 
 
 def gh_nodes(n):
@@ -190,27 +190,20 @@ def mc_estimate(f, sampler, n, seed):
     sampler(generator, size) must return an array of ``size`` samples.
     Samples are drawn in fixed-size batches, each from its own jumped
     Philox substream, so the estimate is a pure function of (seed, n).
-    The variance merges per-batch centred second moments with the pairwise
-    update of Chan, Golub and LeVeque, which keeps it accurate when the
-    mean dwarfs the spread.  Returns (mean, stderr).
+    The batches, with weights 1/n, go through :func:`_gauss_average`, whose
+    standard error merges centred second moments batch by batch.  Returns
+    (mean, stderr).
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
-    total = 0.0
-    run_mean = 0.0
-    m2 = 0.0
-    done = 0
-    for gen, size in _philox_batches(seed, n):
-        vals = eval_batch(f, sampler(gen, size))
-        batch_sum = float(np.sum(vals))
-        batch_mean = batch_sum / size
-        run_mean, m2 = _merge_moments(
-            run_mean, m2, done, batch_mean,
-            float(np.sum((vals - batch_mean) ** 2)), size)
-        total += batch_sum
-        done += size
-    var = m2 / (n - 1)
-    return total / n, math.sqrt(var / n)
+    weight = np.full(min(n, _MC_BATCH), 1.0 / n)
+    # float copies: _gauss_average shifts the last row's piece in place
+    pieces = ((np.array(sampler(gen, size), dtype=float), weight[:size])
+              for gen, size in _philox_batches(seed, n))
+    # one zero mean, which broadcasts over the samples' coordinates
+    value, err = _gauss_average(f, np.zeros((1, 1)), pieces,
+                                QuadScheme.monte_carlo(n, seed))
+    return float(value[0]), float(err[0])
 
 
 def _merge_moments(mean, m2, done, batch_mean, batch_m2, size):
@@ -241,7 +234,7 @@ def gauss_rule(scheme, cols):
     the tensor grid over the remaining columns; Monte Carlo gives the
     Philox draws, batch by batch as :func:`mc_estimate` takes them, with
     weights 1/n.  Points have shape (n, d).  This is the rule that
-    :func:`_gauss_average` and ``chaos.project`` stream piece by piece.
+    :func:`gauss_expect` and ``chaos.project`` stream piece by piece.
     """
     # Monte Carlo pieces share the buffers of _rule_batches; keep copies
     pieces = [(pts.copy(), wts) for pts, wts in _rule_batches(scheme, cols)]
@@ -281,22 +274,22 @@ def _rule_batches(scheme, cols):
         yield pts @ cols.T, wts
 
 
-def _gauss_average(f, means, cols, scheme):
-    """E[f(mean + cols @ xi)] for every row of ``means`` (m, d), over the one
-    rule gauss_rule(scheme, cols) that all rows share, and the standard
-    error of each; returns two arrays of shape (m,).
+def _gauss_average(f, means, pieces, scheme):
+    """The weighted average of f(mean + disp) over the (disp, weight) pieces
+    of one rule for every row of ``means`` (m, d), and each row's standard
+    error; two arrays of shape (m,).  The only code that sums, merges
+    centred moments and applies the tolerance.
 
-    The rule is taken one piece of :func:`_rule_batches` at a time, so a
-    Monte Carlo rule is never held whole: each Philox batch is drawn and
-    averaged in pieces of 8 192 points.  Within a piece the loop runs over
-    the shorter axis, rows or rule points (rule points on a tie), and f gets
-    the other axis as one batch: the piece around one mean (the last row
-    shifts the piece in place), or all means shifted by one rule point,
-    column-major so that f reads each coordinate contiguously.  Under Monte
-    Carlo the standard error comes from each row's centred second moment,
-    merged piece by piece; under Gauss-Hermite it is 0.  With a tolerance,
-    SchemeTooCoarse is raised when any row's standard error exceeds
-    ``tolerance * max(1, |value|)``.
+    The pieces, those of :func:`_rule_batches` or of :func:`mc_estimate`,
+    are taken one at a time, so a Monte Carlo rule is never held whole.
+    Within a piece the loop runs over the shorter axis, rows or rule points
+    (rule points on a tie), and f gets the other axis as one batch: the
+    piece around one mean (the last row shifts the piece in place), or all
+    means shifted by one rule point, column-major so that f reads each
+    coordinate contiguously.  Under Monte Carlo the standard error comes
+    from each row's centred second moment, merged piece by piece; under
+    Gauss-Hermite it is 0.  With a tolerance, SchemeTooCoarse is raised
+    when any row's standard error exceeds ``tolerance * max(1, |value|)``.
     """
     rows = len(means)
     sampled = scheme.kind == "monte_carlo"
@@ -305,7 +298,7 @@ def _gauss_average(f, means, cols, scheme):
     m2 = np.zeros(rows)
     base = np.asfortranarray(means)
     done = 0
-    for disp, w in _rule_batches(scheme, cols):
+    for disp, w in pieces:
         size = len(w)
         if rows < size:
             for i, mean in enumerate(means):
@@ -335,16 +328,16 @@ def _gauss_average(f, means, cols, scheme):
 
 
 def gauss_expect(f, mean, cols, scheme):
-    """E[f(mean + cols @ xi)] with xi a standard normal vector.
+    """E[f(mean + cols @ xi)] with xi a standard normal vector, for one
+    mean (d,), giving a float, or each row of a batch (m, d), giving (m,).
 
     ``cols`` is a d x m factor of the covariance (cov = cols @ cols.T);
     columns that vanish are pruned before building the grid.  Gauss-Hermite
     mode trusts the rule (exact for polynomial f of degree < 2*nodes);
-    Monte Carlo mode enforces ``scheme.tolerance`` on the standard error
+    Monte Carlo mode enforces ``scheme.tolerance`` on each standard error
     when a tolerance is set.
     """
-    value, _ = gauss_expect_err(f, mean, cols, scheme)
-    return value
+    return gauss_expect_err(f, mean, cols, scheme)[0]
 
 
 def gauss_expect_err(f, mean, cols, scheme):
@@ -352,9 +345,14 @@ def gauss_expect_err(f, mean, cols, scheme):
     (zero in quadrature mode, the standard error in Monte Carlo mode)."""
     mean = np.asarray(mean, dtype=float)
     cols = np.atleast_2d(np.asarray(cols, dtype=float))
-    if cols.shape[0] != mean.shape[0]:
+    if mean.ndim not in (1, 2):
+        raise ValueError("mean must be one point (d,) or a batch (m, d)")
+    if cols.shape[0] != mean.shape[-1]:
         raise ValueError("cols must have one row per coordinate of mean")
-    value, err = _gauss_average(f, mean[None, :], cols, scheme)
+    value, err = _gauss_average(f, np.atleast_2d(mean),
+                                _rule_batches(scheme, cols), scheme)
+    if mean.ndim == 2:
+        return value, err
     return float(value[0]), float(err[0])
 
 

@@ -29,8 +29,8 @@ from .errors import (NotContraction, NotSelfAdjoint, NotStrictContraction,
 from .chaos import ChaosExpansion, MultiIndex, _indices, _symmetric_powers
 from .gaussian import (LinearMap, SpectralGaussian, cm_inner, pinv_sqrt_apply,
                        white_noise)
-from .numerics import (QuadScheme, _gauss_average, _kept, _read_only,
-                       _restore_read_only, gauss_expect, psd_sqrt, rule_size)
+from .numerics import (QuadScheme, _kept, _read_only, _restore_read_only,
+                       gauss_expect, psd_sqrt, rule_size)
 
 PERMANENT_MAX_SIZE = 12
 CONTRACTION_SLACK = 1e-12
@@ -228,19 +228,7 @@ def gamma_integral_apply(T, f, x, scheme=None):
     a, cols = mehler_factors(T)
     if scheme is None:
         scheme = QuadScheme.default_for(T.mu.dim)
-    return _average_at(f, a, x, cols, scheme)
-
-
-def _average_at(f, a, x, cols, scheme):
-    """E[f(a x + cols @ xi)] at one point x (a float) or a batch (m,).
-
-    Both go through _gauss_average, one point as a batch of one row.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 2:
-        raise ValueError("x must be one point (d,) or a batch (m, d)")
-    value, _ = _gauss_average(f, np.atleast_2d(x) @ a.T, cols, scheme)
-    return value if x.ndim == 2 else float(value[0])
+    return gauss_expect(f, x @ a.T, cols, scheme)
 
 
 @dataclass(frozen=True)
@@ -288,7 +276,7 @@ def lq_norm_gamma(T, f, q, scheme=None, inner_scheme=None):
     a, cols, scheme, inner_scheme = _nested_rules(T, scheme, inner_scheme)
 
     def abs_power(batch):
-        return np.abs(_average_at(f, a, batch, cols, inner_scheme)) ** q
+        return np.abs(gauss_expect(f, batch @ a.T, cols, inner_scheme)) ** q
 
     mass = gauss_expect(abs_power, np.zeros(T.nu.dim), T.nu.sqrt_cols(), scheme)
     return max(mass, 0.0) ** (1.0 / q)
@@ -382,7 +370,8 @@ def hs_norm_gamma(T, max_degree):
     closed_form: prod_k (1 - s_k^2)^{-1/2} over singular values of M.
     paper_form: prod_k (1 - s_k^4)^{-1} (the printed variant, kept for
     comparison; see the ledger).
-    tail_bound: sum_{n > N} s_1^{2n} #Lambda_n, a certified remainder.
+    tail_bound: sum_{n > N} s_1^{2n} #Lambda_n, a certified remainder
+    (:func:`_degree_tail`).
     """
     s = T.singular_values
     s1 = float(s[0]) if s.size else 0.0
@@ -399,27 +388,33 @@ def hs_norm_gamma(T, max_degree):
         geom = sk ** (2.0 * np.arange(max_degree + 1))
         weights = np.convolve(weights, geom)[:max_degree + 1]
     partial = math.sqrt(float(np.sum(weights)))
-    d_eff = max(int(np.sum(s > 0.0)), 1)
-    tail = 0.0
-    if s1 > 0.0:
-        n = max_degree + 1
-        count = math.comb(n + d_eff - 1, n)  # #Lambda_{N+1} over live directions
-        power = s1 ** (2 * n)
-        while True:
-            term = power * count
-            tail += term
-            if term < 1e-18 * max(tail, 1.0):
-                break
-            if n > 200_000:
-                # summation stalled; close with a geometric majorant
-                ratio = s1 ** 2 * (n + d_eff) / (n + 1)
-                tail = math.inf if ratio >= 1.0 else tail + term * ratio / (1.0 - ratio)
-                break
-            n += 1
-            count = count * (n + d_eff - 1) // n
-            power *= s1 ** 2
+    tail = _degree_tail(s1, max_degree, max(int(np.sum(s > 0.0)), 1))
     return {"partial": partial, "closed_form": closed, "paper_form": paper,
             "tail_bound": tail}
+
+
+def _degree_tail(s1, max_degree, d):
+    """sum_{n > N} C(n + d - 1, n) q^n with q = s1^2 and N = max_degree:
+    the degree-n indices over d live directions, each weighted by q^n.
+
+    It is evaluated in logs through the d-term identity
+    sum_{j=N+1}^{N+d} C(N + d, j) q^j (1 - q)^(N - j), the negative binomial
+    tail as a binomial sum, and is inf only when the sum exceeds the float
+    range.
+    """
+    if s1 == 0.0:
+        return 0.0
+    n = max_degree
+    log_q = 2.0 * math.log(s1)
+    log_gap = math.log1p(-s1) + math.log1p(s1)  # log(1 - q) without cancelling
+    logs = [math.log(math.comb(n + d, j)) + j * log_q + (n - j) * log_gap
+            for j in range(n + 1, n + d + 1)]
+    top = max(logs)
+    log_tail = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+    try:
+        return math.exp(log_tail)
+    except OverflowError:
+        return math.inf
 
 
 def eigen_system(T):

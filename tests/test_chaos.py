@@ -68,6 +68,29 @@ def test_enumerate_indices_stars_and_bars(d, n):
     assert len(set(idx)) == len(idx)
 
 
+def _old_indices(d, n):
+    # reference order: the plain recursion over the last slot
+    if d == 1:
+        return ((n,),)
+    return tuple(head + (last,) for last in range(n + 1)
+                 for head in _old_indices(d - 1, n - last))
+
+
+def test_indices_keep_the_graded_colex_order():
+    for d in range(1, 7):
+        for n in range(6):
+            got = chaos._indices(d, n)
+            assert got == _old_indices(d, n)
+            assert all(type(alpha) is MultiIndex for alpha in got)
+
+
+@pytest.mark.parametrize("d, max_degree", [(23, 3), (9, 6)])
+def test_enumeration_keeps_only_the_degrees_asked_for(d, max_degree):
+    before = chaos._indices.cache_info().currsize
+    enumerate_up_to(d, max_degree)
+    assert chaos._indices.cache_info().currsize - before <= max_degree + 1
+
+
 def test_sigma_class_count():
     assert sigma_class_count((4, 0, 0)) == 1
     assert sigma_class_count((2, 1)) == 3

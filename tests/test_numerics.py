@@ -10,7 +10,7 @@ from ouchaos import numerics
 from ouchaos.chaos import project
 from ouchaos.errors import QuadratureFailure, SchemeTooCoarse
 from ouchaos.gaussian import SpectralGaussian
-from ouchaos.numerics import (QuadScheme, _gauss_average, eval_batch,
+from ouchaos.numerics import (QuadScheme, eval_batch,
                               gauss_expect, gauss_expect_err, gauss_rule,
                               gh_nodes, gh_tensor, mc_estimate,
                               panel_integrate, psd_sqrt, rule_size)
@@ -245,12 +245,12 @@ def test_gauss_average_tolerance_is_each_rows_standard_error(rows, monkeypatch):
         vals = np.array([f(m + pts) for m in means])
         err = vals.std(axis=1, ddof=1) / math.sqrt(40)
         worst = float(np.max(err / np.maximum(1.0, np.abs(vals.mean(axis=1)))))
-        out, out_err = _gauss_average(f, means, cols, QuadScheme.monte_carlo(
+        out, out_err = gauss_expect_err(f, means, cols, QuadScheme.monte_carlo(
             40, seed=2, tolerance=worst * (1.0 + 1e-9)))
         assert out == pytest.approx(vals.mean(axis=1), rel=1e-14)
         assert out_err == pytest.approx(err, rel=1e-12)
         with pytest.raises(SchemeTooCoarse):
-            _gauss_average(f, means, cols, QuadScheme.monte_carlo(
+            gauss_expect_err(f, means, cols, QuadScheme.monte_carlo(
                 40, seed=2, tolerance=worst * (1.0 - 1e-9)))
 
 
@@ -268,7 +268,7 @@ def test_gauss_average_streams_monte_carlo_batches(rows, monkeypatch):
         sizes.append(len(p))
         return np.exp(0.5 * p[:, 0]) + p[:, 1] ** 2
 
-    out, _ = _gauss_average(f, means, cols, scheme)
+    out, _ = gauss_expect_err(f, means, cols, scheme)
     if rows < 16:
         assert sizes == [16] * (6 * rows) + [4] * rows
     else:
@@ -278,6 +278,74 @@ def test_gauss_average_streams_monte_carlo_batches(rows, monkeypatch):
     want = [np.dot(w, np.exp(0.5 * (m + pts)[:, 0]) + (m + pts)[:, 1] ** 2)
             for m in means]
     assert out == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [4, 9, 20, 30])
+@pytest.mark.parametrize("scheme", [QuadScheme.gauss_hermite(3),
+                                    QuadScheme.monte_carlo(20, seed=3)],
+                         ids=["gauss_hermite", "monte_carlo"])
+def test_batch_of_means_is_one_point_calls(scheme, rows):
+    # rules of 9 and 20 points: below the rule size each row is averaged
+    # as one point is, bit for bit; at or above it the loop runs over the
+    # rule points and sums in another order, which moves only round-off
+    cols = np.array([[0.8, 0.0], [0.3, 0.5]])
+    f = lambda p: np.exp(0.5 * p[:, 0]) + p[:, 1] ** 2
+    means = np.random.default_rng(rows).standard_normal((rows, 2))
+    value, err = gauss_expect_err(f, means, cols, scheme)
+    assert value.shape == err.shape == (rows,)
+    assert np.array_equal(gauss_expect(f, means, cols, scheme), value)
+    one = np.array([gauss_expect_err(f, mean, cols, scheme) for mean in means])
+    if rows < rule_size(scheme, cols):
+        assert np.array_equal(value, one[:, 0])
+        assert np.array_equal(err, one[:, 1])
+    else:
+        assert value == pytest.approx(one[:, 0], rel=1e-14, abs=0.0)
+        assert err == pytest.approx(one[:, 1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mean", [np.zeros((2, 3, 2)), np.float64(0.0)],
+                         ids=["three_axes", "scalar"])
+def test_gauss_expect_takes_one_mean_or_a_batch(mean):
+    scheme = QuadScheme.gauss_hermite(3)
+    for call in (gauss_expect, gauss_expect_err):
+        with pytest.raises(ValueError, match="one point"):
+            call(lambda p: p[:, 0], mean, np.eye(2), scheme)
+
+
+def test_mc_estimate_leaves_a_read_only_sample_alone():
+    # 70 000 samples span two Philox batches; the average shifts a copy
+    handed = []
+
+    def sampler(gen, size):
+        draws = gen.standard_normal((size, 2))
+        draws.flags.writeable = False
+        handed.append((draws, draws.copy()))
+        return draws
+
+    f = lambda p: np.cos(p[:, 0]) * p[:, 1]
+    got = mc_estimate(f, sampler, 70_000, seed=9)
+    assert len(handed) == 2
+    for draws, copy in handed:
+        assert np.array_equal(draws, copy)
+    assert got == mc_estimate(f, lambda gen, size: gen.standard_normal((size, 2)),
+                              70_000, seed=9)
+
+
+def test_mc_estimate_of_a_one_sample_last_batch():
+    # the last Philox batch holds one draw, averaged as a rule point
+    n = numerics._MC_BATCH + 1
+    draws = []
+
+    def sampler(gen, size):
+        draws.append(gen.standard_normal((size, 1)))
+        return draws[-1]
+
+    est, err = mc_estimate(lambda p: p[:, 0] ** 2, sampler, n, seed=2)
+    vals = np.concatenate(draws)[:, 0] ** 2
+    assert [len(d) for d in draws] == [numerics._MC_BATCH, 1]
+    assert est == pytest.approx(vals.mean(), rel=1e-13, abs=0.0)
+    assert err == pytest.approx(vals.std(ddof=1) / math.sqrt(n), rel=1e-12,
+                              abs=0.0)
 
 
 def _traced_peak_mb(call):

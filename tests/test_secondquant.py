@@ -1,18 +1,24 @@
 import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_contraction, random_measure
+from ouchaos import secondquant
 from ouchaos.chaos import (ChaosExpansion, enumerate_indices, enumerate_up_to,
                            eval_expansion, exp_functional_coeffs, phi_alpha,
                            project)
+from ouchaos.cli import DEFAULT_MODEL
 from ouchaos.errors import (NotContraction, NotSelfAdjoint,
                             NotStrictContraction, PreconditionViolated,
                             SchemeTooCoarse, SizeTooLarge, Unbounded)
+from ouchaos.evolution import pst_contraction
 from ouchaos.gaussian import SpectralGaussian, expect
 from ouchaos.numerics import QuadScheme
+from ouchaos.presets import build_preset
 from ouchaos.secondquant import (CMContraction, degree_block, eigen_system,
                                  gamma_eigen, gamma_integral_apply,
                                  gamma_matrix_element, gamma_series_apply,
@@ -589,6 +595,47 @@ def test_hs_partial_matches_literal_matrix_elements():
     literal = sum(np.sum(degree_block(t, n) ** 2) for n in range(n_cap + 1))
     out = hs_norm_gamma(t, n_cap)
     assert out["partial"] ** 2 == pytest.approx(float(literal), abs=1e-10)
+
+
+def _exact_tail(s1, max_degree, d):
+    """sum_{n > N} C(n + d - 1, n) s1^(2n) in rationals: the whole negative
+    binomial series (1 - s1^2)^(-d) minus its terms up to N."""
+    q = Fraction(s1) ** 2
+    head = sum(math.comb(n + d - 1, n) * q ** n for n in range(max_degree + 1))
+    return (1 - q) ** -d - head
+
+
+@pytest.mark.parametrize("s1, max_degree, d",
+                         [(0.5, 40, 3), (0.9, 40, 3), (0.99, 40, 10),
+                          (0.9999, 40, 60)])
+def test_hs_tail_bound_is_the_exact_series_tail(s1, max_degree, d):
+    # the top singular value s1 in every one of d directions; 60 directions
+    # at 0.9999 give a tail near 8.7e221, which is still a float
+    mu = SpectralGaussian(np.ones(d))
+    t = CMContraction(mu, mu, s1 * np.eye(d))
+    out = hs_norm_gamma(t, max_degree)
+    want = _exact_tail(float(t.singular_values[0]), max_degree, d)
+    assert out["tail_bound"] == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
+def test_hs_tail_bound_of_the_default_table_rows():
+    # the rows of a default `ouchaos hs-table`; at t = 1 and t = 2 the
+    # tail lies far below 1e-18
+    model = build_preset(DEFAULT_MODEL["preset"], DEFAULT_MODEL["params"])
+    for t_end in (0.1, 1.0, 2.0):
+        t = pst_contraction(model, 0.0, t_end)
+        s = t.singular_values
+        want = _exact_tail(float(s[0]), 40, int(np.sum(s > 0.0)))
+        assert hs_norm_gamma(t, 40)["tail_bound"] == pytest.approx(
+            float(want), rel=1e-12, abs=0.0)
+
+
+def test_hs_tail_bound_is_inf_only_beyond_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert secondquant._degree_tail(0.9999, 40, 400) == math.inf
+        assert secondquant._degree_tail(0.0, 40, 3) == 0.0
+        assert 0.0 < secondquant._degree_tail(1e-3, 40, 3) < 1e-200
 
 
 def test_hs_rejects_unit_norm():
