@@ -110,6 +110,17 @@ def _times_linear_forms(prev, down, forms):
     return out
 
 
+def _check_block(rows, cols, degree):
+    """Raise SizeTooLarge when the degree-``degree`` symmetric power of a
+    rows x cols matrix exceeds BLOCK_MAX_ENTRIES entries; table sizes grow
+    with the degree, so the top block bounds them all."""
+    size = math.comb(degree + rows - 1, degree) * math.comb(
+        degree + cols - 1, degree)
+    if size > BLOCK_MAX_ENTRIES:
+        raise SizeTooLarge(f"degree-{degree} block of {size} entries exceeds "
+                           f"the budget BLOCK_MAX_ENTRIES = {BLOCK_MAX_ENTRIES}")
+
+
 def _symmetric_powers(m, max_degree):
     """Yield, for n = 0..max_degree, the matrix of the n-th symmetric tensor
     power of m in the orthonormal bases indexed by _indices(cols, n) and
@@ -122,12 +133,7 @@ def _symmetric_powers(m, max_degree):
     nonzero slot of alpha.
     """
     rows, cols = m.shape
-    # table sizes grow with the degree, so the top one bounds them all
-    size = math.comb(max_degree + rows - 1, max_degree) * math.comb(
-        max_degree + cols - 1, max_degree)
-    if size > BLOCK_MAX_ENTRIES:
-        raise SizeTooLarge(f"degree-{max_degree} block of {size} entries "
-                           f"exceeds the budget of {BLOCK_MAX_ENTRIES}")
+    _check_block(rows, cols, max_degree)
     p = np.ones((1, 1))
     yield p
     for n in range(1, max_degree + 1):
@@ -318,12 +324,16 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     """
     if scheme is None:
         scheme = QuadScheme.default_for(int(gamma.support.sum()), max_degree)
+    # the first piece is drawn before indices are enumerated, so an
+    # oversized grid is refused at once
+    batches = _rule_batches(scheme, gamma.sqrt_cols())
+    first = next(batches)
     kernel = np.flatnonzero(~gamma.support).tolist()
     alphas = [a for a in enumerate_up_to(gamma.dim, max_degree)
               if not any(a[j] for j in kernel)]
     sums = np.zeros(len(alphas))
     sq_mass = 0.0
-    for x, w in _rule_batches(scheme, gamma.sqrt_cols()):
+    for x, w in itertools.chain([first], batches):
         fv = eval_batch(f, x)
         sq_mass += float(np.dot(w, fv * fv))
         if scheme.kind == "monte_carlo":

@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chaos import project
+from .chaos import _check_block, project
 from .errors import HypothesisFailed, NoDecay, NotContraction
 from .gaussian import SpectralGaussian, expect, range_ratio_norm
 from .numerics import (QuadScheme, _kept, gauss_expect, panel_integrate,
@@ -348,12 +348,14 @@ def decay_ratio(model, f, p, s, t, scheme=None, degree=None):
     At p = 2 with ``degree`` (the polynomial degree of f) given, the ratio
     is exact from the chaos expansion of f: Parseval turns both norms into
     sums over the coefficients with alpha != 0, and P_{s,t} = Gamma(L) acts
-    on them through :func:`gamma_series_apply`.  The scheme then only sets
-    how f is projected; an f of higher degree raises SchemeTooCoarse under
-    Gauss-Hermite.  Otherwise the numerator is the L^p(gamma_s) norm of
-    Gamma(L)(f - m_t(f)) from :func:`lq_norm_gamma`, L the contraction of
-    :func:`pst_contraction`, refused with SchemeTooCoarse before f is
-    evaluated when it would exceed NESTED_MAX_EVALS evaluations of f.
+    on them through :func:`gamma_series_apply`, whose degree-``degree``
+    block is checked against chaos.BLOCK_MAX_ENTRIES (SizeTooLarge) before
+    f is evaluated.  The scheme then only sets how f is projected; an f of
+    higher degree raises SchemeTooCoarse under Gauss-Hermite.  Otherwise
+    the numerator is the L^p(gamma_s) norm of Gamma(L)(f - m_t(f)) from
+    :func:`lq_norm_gamma`, L the contraction of :func:`pst_contraction`,
+    refused with SchemeTooCoarse before f is evaluated when it would
+    exceed NESTED_MAX_EVALS evaluations of f.
     """
     if p <= 1:
         raise ValueError("need p > 1")
@@ -382,6 +384,8 @@ def _ratio(num, den, m_t):
 
 
 def _chaos_decay_ratio(model, f, s, t, scheme, degree):
+    # the Gamma(L) block budget refuses before f is projected
+    _check_block(model.dim, model.dim, degree)
     gamma_t = model.measure_at(t)
     if scheme is None:
         scheme = QuadScheme.gauss_hermite(degree + 2)

@@ -190,15 +190,14 @@ def mc_estimate(f, sampler, n, seed):
     sampler(generator, size) must return an array of ``size`` samples.
     Samples are drawn in fixed-size batches, each from its own jumped
     Philox substream, so the estimate is a pure function of (seed, n).
-    The batches, with weights 1/n, go through :func:`_gauss_average`, whose
-    standard error merges centred second moments batch by batch.  Returns
-    (mean, stderr).
+    The batches, with weights 1/n, go through :func:`_gauss_average` as
+    the sampler returned them (they are only read), and its standard error
+    merges centred second moments batch by batch.  Returns (mean, stderr).
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
     weight = np.full(min(n, _MC_BATCH), 1.0 / n)
-    # float copies: _gauss_average shifts the last row's piece in place
-    pieces = ((np.array(sampler(gen, size), dtype=float), weight[:size])
+    pieces = ((sampler(gen, size), weight[:size])
               for gen, size in _philox_batches(seed, n))
     # one zero mean, which broadcasts over the samples' coordinates
     value, err = _gauss_average(f, np.zeros((1, 1)), pieces,
@@ -252,8 +251,8 @@ def _rule_batches(scheme, cols):
     A batch is drawn from its own generator piece after piece, which gives
     the same draws as one call for the whole batch.  Every Monte Carlo
     piece is a view into the same two buffers, one of draws and one of
-    mapped points, refilled for the next piece: a consumer may shift a
-    piece in place, but must copy what it keeps.  Reusing two small
+    mapped points, refilled for the next piece: a consumer must copy what
+    it keeps.  Reusing two small
     buffers spares the allocator two batch-sized arrays per batch, and
     keeps the temporaries of f small."""
     cols = _live_columns(cols)
@@ -281,41 +280,46 @@ def _gauss_average(f, means, pieces, scheme):
     centred moments and applies the tolerance.
 
     The pieces, those of :func:`_rule_batches` or of :func:`mc_estimate`,
-    are taken one at a time, so a Monte Carlo rule is never held whole.
-    Within a piece the loop runs over the shorter axis, rows or rule points
-    (rule points on a tie), and f gets the other axis as one batch: the
-    piece around one mean (the last row shifts the piece in place), or all
-    means shifted by one rule point, column-major so that f reads each
-    coordinate contiguously.  Under Monte Carlo the standard error comes
-    from each row's centred second moment, merged piece by piece; under
-    Gauss-Hermite it is 0.  With a tolerance, SchemeTooCoarse is raised
-    when any row's standard error exceeds ``tolerance * max(1, |value|)``.
+    are taken one at a time, so a Monte Carlo rule is never held whole, and
+    are only read.  f gets the piece around a block of consecutive means,
+    as many as fit in 8 192 points (_MC_PIECE) and at least one, laid out
+    coordinate-major in one buffer so that f reads each coordinate
+    contiguously.  Each row's sum and centred moments come from that row
+    alone, so a mean's value and standard error do not depend on the batch
+    it arrives in.  Under Monte Carlo the standard error comes from each
+    row's centred second moment, merged piece by piece; under Gauss-Hermite
+    it is 0.  With a tolerance, SchemeTooCoarse is raised when any row's
+    standard error exceeds ``tolerance * max(1, |value|)``.
     """
     rows = len(means)
     sampled = scheme.kind == "monte_carlo"
     out = np.zeros(rows)
     run = np.zeros(rows)
     m2 = np.zeros(rows)
-    base = np.asfortranarray(means)
+    shifts = means.T[:, :, None]
+    buf = np.empty(0)
     done = 0
     for disp, w in pieces:
         size = len(w)
-        if rows < size:
-            for i, mean in enumerate(means):
-                pts = disp + mean if i + 1 < rows else np.add(disp, mean, out=disp)
-                vals = eval_batch(f, pts)
-                out[i] += np.dot(w, vals)
-                if sampled:
-                    batch_mean = np.mean(vals)
-                    run[i], m2[i] = _merge_moments(
-                        run[i], m2[i], done, batch_mean,
-                        np.sum((vals - batch_mean) ** 2), size)
-        else:
-            for j in range(size):
-                vals = eval_batch(f, base + disp[j])
-                out += w[j] * vals
-                if sampled:
-                    run, m2 = _merge_moments(run, m2, done + j, vals, 0.0, 1)
+        step = max(1, _MC_PIECE // size)
+        coords = np.ascontiguousarray(np.transpose(disp))[:, None, :]
+        dim = len(coords)
+        need = dim * min(step, rows) * size
+        if buf.size < need:
+            buf = np.empty(need)
+        for start in range(0, rows, step):
+            block = slice(start, min(start + step, rows))
+            k = block.stop - start
+            pts = np.add(shifts[:, block], coords,
+                         out=buf[:dim * k * size].reshape(dim, k, size))
+            vals = eval_batch(f, pts.reshape(dim, -1).T).reshape(k, size)
+            # one dot product per row, bit for bit that of np.dot(w, row)
+            out[block] += np.matmul(vals[:, None, :], w)[:, 0]
+            if sampled:
+                batch_mean = np.mean(vals, axis=1)
+                run[block], m2[block] = _merge_moments(
+                    run[block], m2[block], done, batch_mean,
+                    np.sum((vals - batch_mean[:, None]) ** 2, axis=1), size)
         done += size
     err = np.sqrt(m2 / max((done - 1) * done, 1))
     if scheme.tolerance is not None:

@@ -369,7 +369,8 @@ def hs_norm_gamma(T, max_degree):
     Frobenius mass invariant).
     closed_form: prod_k (1 - s_k^2)^{-1/2} over singular values of M.
     paper_form: prod_k (1 - s_k^4)^{-1} (the printed variant, kept for
-    comparison; see the ledger).
+    comparison; see the ledger).  Both are inf, with no warning, beyond the
+    float range.
     tail_bound: sum_{n > N} s_1^{2n} #Lambda_n, a certified remainder
     (:func:`_degree_tail`).
     """
@@ -377,8 +378,10 @@ def hs_norm_gamma(T, max_degree):
     s1 = float(s[0]) if s.size else 0.0
     if s1 >= 1.0 - STRICTNESS_GAP:
         raise NotStrictContraction(f"top singular value {s1:.12f} is not below 1")
-    closed = float(np.prod((1.0 - s ** 2) ** -0.5))
-    paper = float(np.prod((1.0 - s ** 4) ** -1.0))
+    # every factor is >= 1, so a product that overflows is inf
+    with np.errstate(over="ignore"):
+        closed = float(np.prod((1.0 - s ** 2) ** -0.5))
+        paper = float(np.prod((1.0 - s ** 4) ** -1.0))
     # truncated product of geometric series by degree-graded convolution
     weights = np.zeros(max_degree + 1)
     weights[0] = 1.0

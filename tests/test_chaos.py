@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +180,23 @@ def test_project_monte_carlo_agrees():
     e_mc = project(g, lambda p: p[:, 0] ** 2, 2,
                    scheme=QuadScheme.monte_carlo(400_000, seed=5))
     assert e_mc[(2,)] == pytest.approx(math.sqrt(2.0), abs=0.02)
+
+
+def test_project_refuses_an_oversized_grid_before_enumerating():
+    # 5^60 grid points; enumerating the 39 711 indices of degree <= 3 in 60
+    # coordinates alone would take over a second
+    gamma = SpectralGaussian(1.0 / np.arange(1, 61) ** 2)
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[:, 0] ** 2 * p[:, 1]
+
+    start = time.perf_counter()
+    with pytest.raises(SchemeTooCoarse):
+        project(gamma, f, 3, QuadScheme.gauss_hermite(5))
+    assert time.perf_counter() - start < 0.5
+    assert not calls
 
 
 def test_project_skips_kernel_directions():

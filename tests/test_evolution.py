@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from ouchaos import numerics
 from ouchaos.chaos import enumerate_up_to
 from ouchaos.cli import _model_from
 from ouchaos.errors import (HypothesisFailed, NoDecay, NotContraction,
-                            SchemeTooCoarse)
+                            SchemeTooCoarse, SizeTooLarge)
 from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
                                bignamini_check, decay_ratio, hyper_threshold,
                                mean_functional, pst_apply, pst_contraction,
@@ -291,8 +292,8 @@ def test_monte_carlo_batches_match_the_whole_rule(route, monkeypatch):
 
 def test_isometry_inner_average_loops_over_its_rule():
     # at s = t the noise factor of L keeps one round-off column (3.5e-9),
-    # so the inner rule has 12 points against 12^4 outer points: f is
-    # called once per inner point, not once per outer point
+    # so the inner rule has 12 points against 12^4 outer points: f gets the
+    # rule around blocks of 682 means (8 184 points), 31 calls in all
     model = build_preset("heat1d", {"dim": 4})
     calls = []
 
@@ -301,7 +302,8 @@ def test_isometry_inner_average_loops_over_its_rule():
         return p[:, 0] ** 2 * p[:, 1] - 0.5 * p[:, 3] + 0.2
 
     lq_norm_gamma(pst_contraction(model, 0.4, 0.4), f, 1.5)
-    assert calls == [12 ** 4] * 12
+    assert sum(calls) == 12 ** 4 * 12
+    assert len(calls) == 31 and max(calls) <= numerics._MC_PIECE
 
 
 def test_covariance_chapman_kolmogorov():
@@ -508,6 +510,28 @@ def test_decay_ratio_quadrature_route_refuses_past_its_budget():
 
     with pytest.raises(SchemeTooCoarse, match="NESTED_MAX_EVALS"):
         decay_ratio(model, f, 3.0, 0.0, 0.5)
+    assert not calls
+
+
+@pytest.mark.parametrize("dim, degree, scheme",
+                         [(20, 4, QuadScheme.monte_carlo(200_000)),
+                          (60, 3, None), (100, 3, None)],
+                         ids=["dim20_monte_carlo", "dim60", "dim100"])
+def test_decay_ratio_chaos_route_refuses_an_oversized_block_before_f(
+        dim, degree, scheme):
+    # the degree block of Gamma(L) holds C(degree + dim - 1, degree)^2
+    # entries, above BLOCK_MAX_ENTRIES in all three cases
+    model = build_preset("heat1d", {"gamma_exp": 0.5, "dim": dim})
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[:, 0] ** 2 * p[:, 1]
+
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge, match="BLOCK_MAX_ENTRIES"):
+        decay_ratio(model, f, 2.0, 0.0, 0.5, scheme, degree=degree)
+    assert time.perf_counter() - start < 0.5
     assert not calls
 
 

@@ -638,6 +638,18 @@ def test_hs_tail_bound_is_inf_only_beyond_the_float_range():
         assert 0.0 < secondquant._degree_tail(1e-3, 40, 3) < 1e-200
 
 
+def test_hs_products_are_inf_without_a_warning():
+    # 400 singular values of 0.9999: both products pass the float range
+    mu = SpectralGaussian(np.ones(400))
+    t = CMContraction(mu, mu, 0.9999 * np.eye(400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = hs_norm_gamma(t, 3)
+    assert out["closed_form"] == out["paper_form"] == math.inf
+    assert out["tail_bound"] == math.inf
+    assert math.isfinite(out["partial"])
+
+
 def test_hs_rejects_unit_norm():
     with pytest.raises(NotStrictContraction):
         hs_norm_gamma(CMContraction.identity(STD2), 10)
