@@ -29,6 +29,9 @@ SIGMA_MAX_ORDER = 20
 # entries of one symmetric-power table (2^22 float64 entries are 32 MiB);
 # per-entry permanents would have taken hours long before this size
 BLOCK_MAX_ENTRIES = 1 << 22
+# indices x samples of one Monte Carlo projection, each product a few
+# nanoseconds of the per-index loop: seconds, as NESTED_MAX_EVALS
+PROJECT_MAX_PRODUCTS = 10 ** 9
 
 
 class MultiIndex(tuple):
@@ -150,11 +153,6 @@ def _sqrt_factorials(d, n):
                                 for alpha in _indices(d, n)]))
 
 
-def _sqrt_factorial_column(top):
-    """sqrt(k!) for k = 0..top."""
-    return np.concatenate([_sqrt_factorials(1, k) for k in range(top + 1)])
-
-
 def enumerate_indices(d, n):
     """All multi-indices of length d with |alpha| = n, in graded colex order;
     there are C(n+d-1, n) of them."""
@@ -200,6 +198,16 @@ def _phi_table(xi, max_degree):
     return out
 
 
+def _basis_table(xi, top):
+    """He_k(xi)/sqrt(k!) = sqrt(k!) phi_k(xi) for k = 0..top at every entry
+    of xi: an array of shape (top + 1,) + xi.shape, the factors of every
+    Phi_alpha the module evaluates."""
+    table = _phi_table(xi.reshape(-1), top)
+    table *= np.array([math.sqrt(math.factorial(k))
+                       for k in range(top + 1)])[:, None]
+    return table.reshape((top + 1,) + xi.shape)
+
+
 def phi_alpha(gamma, alpha, x):
     """Orthonormal Hermite basis element of L^2(gamma) at x (point or batch)."""
     alpha = MultiIndex(alpha)
@@ -212,9 +220,9 @@ def _hermite_sum(gamma, terms, x):
     """Sum of c * Phi_alpha(x) over the (alpha, c) in terms; x is a point or
     a batch.
 
-    The multi-indices form one integer table, and one table holds
-    He_k/sqrt(k!) = sqrt(k!) phi_k at every loaded coordinate of every
-    point, so c * Phi_alpha at all points and for all terms is c times a
+    The multi-indices form one integer table, and one table of
+    :func:`_basis_table` holds He_k/sqrt(k!) at every loaded coordinate of
+    every point, so c * Phi_alpha at all points and for all terms is c times a
     product over the coordinates of entries picked from it; the sum runs
     along each row of that points x terms matrix.  Points are taken in
     chunks that keep the matrix within BLOCK_MAX_ENTRIES entries; a row is
@@ -233,7 +241,6 @@ def _hermite_sum(gamma, terms, x):
     if top > HERMITE_MAX_DEGREE:
         raise DegreeTooLarge(f"degree {top} exceeds the recurrence budget")
     picks = alphas[:, loaded]
-    root = _sqrt_factorial_column(top)[:, None]
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     x = np.atleast_2d(x)
@@ -241,8 +248,7 @@ def _hermite_sum(gamma, terms, x):
     step = max(1, BLOCK_MAX_ENTRIES // max(len(terms), 1))
     for start in range(0, len(x), step):
         xi = x[start:start + step, loaded] / gamma.scale[loaded]
-        tables = (_phi_table(xi.reshape(-1), top) * root).reshape(
-            (top + 1,) + xi.shape)
+        tables = _basis_table(xi, top)
         values = np.repeat(coeffs[None, :], len(xi), axis=0)
         for i in range(len(loaded)):
             values *= tables[:, :, i].T[:, picks[:, i]]
@@ -296,34 +302,33 @@ def l2_norm(expansion):
     return math.sqrt(sum(c * c for c in expansion.coeffs.values()))
 
 
-def _support_tables(gamma, pts_embedded, max_degree):
-    """phi tables per supported coordinate for a batch of points in X."""
-    return {j: _phi_table(pts_embedded[:, j] / gamma.scale[j], max_degree)
-            for j in range(gamma.dim) if gamma.support[j]}
-
-
-def _phi_from_tables(alpha, tables, m):
-    out = np.full(m, math.sqrt(alpha.factorial))
-    for j, e in enumerate(alpha):
-        if e > 0:
-            out = out * tables[j][e]
-    return out
-
-
 def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     """Chaos coefficients c_alpha = integral of f * Phi_alpha against gamma.
 
     A Gauss-Hermite grid is projected by sum factorisation
-    (:func:`_sum_factorised`); Monte Carlo draws have no tensor structure
+    (:func:`_sum_factorised`).  Monte Carlo draws have no tensor structure
     and are streamed in the pieces of 8 192 points that the rule hands
-    out, one pass over each piece per multi-index.  With
-    expect_polynomial=True the Parseval residual
-    ||f||^2 - sum c_alpha^2 is computed on the same grid and must stay below
-    the scheme tolerance (default 1e-9), otherwise SchemeTooCoarse is raised;
-    the residual is stored on the returned expansion either way.
+    out; each piece gets one :func:`_basis_table` over the supported axes,
+    and each multi-index multiplies f by the table rows of its nonzero
+    entries only.  That loop costs indices x samples products, so before
+    anything is drawn or enumerated SizeTooLarge is raised when
+    C(max_degree + L, L) indices on L supported axes times the samples
+    exceed PROJECT_MAX_PRODUCTS.  With expect_polynomial=True the Parseval
+    residual ||f||^2 - sum c_alpha^2 is computed on the same grid and must
+    stay below the scheme tolerance (default 1e-9), otherwise
+    SchemeTooCoarse is raised; the residual is stored on the returned
+    expansion either way.
     """
+    live = np.flatnonzero(gamma.support)
     if scheme is None:
-        scheme = QuadScheme.default_for(int(gamma.support.sum()), max_degree)
+        scheme = QuadScheme.default_for(len(live), max_degree)
+    sampled = scheme.kind == "monte_carlo"
+    if sampled:
+        products = math.comb(max_degree + len(live), max_degree) * scheme.samples
+        if products > PROJECT_MAX_PRODUCTS:
+            raise SizeTooLarge(
+                f"Monte Carlo projection of {products} index x sample products "
+                f"exceeds the budget PROJECT_MAX_PRODUCTS = {PROJECT_MAX_PRODUCTS:.0e}")
     # the first piece is drawn before indices are enumerated, so an
     # oversized grid is refused at once
     batches = _rule_batches(scheme, gamma.sqrt_cols())
@@ -331,20 +336,28 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     kernel = np.flatnonzero(~gamma.support).tolist()
     alphas = [a for a in enumerate_up_to(gamma.dim, max_degree)
               if not any(a[j] for j in kernel)]
+    if sampled:
+        # (exponent, position in live) of each index's nonzero entries
+        factors = [[(a[j], i) for i, j in enumerate(live) if a[j]]
+                   for a in alphas]
     sums = np.zeros(len(alphas))
     sq_mass = 0.0
     for x, w in itertools.chain([first], batches):
         fv = eval_batch(f, x)
         sq_mass += float(np.dot(w, fv * fv))
-        if scheme.kind == "monte_carlo":
-            tables = _support_tables(gamma, x, max_degree)
-            for i, a in enumerate(alphas):
-                sums[i] += np.dot(w, fv * _phi_from_tables(a, tables, len(x)))
+        if sampled:
+            # laid out (k, axis, point), so each factor is one contiguous row
+            table = _basis_table(x[:, live].T / gamma.scale[live, None],
+                                 max_degree)
+            for i, pairs in enumerate(factors):
+                v = fv
+                for e, j in pairs:
+                    v = v * table[e, j]
+                sums[i] += np.dot(w, v)
         else:
             # the grid has scheme.nodes points on each supported axis, and
             # both lists of indices run in graded colex order
-            sums = _sum_factorised(
-                fv, (scheme.nodes,) * int(gamma.support.sum()), max_degree)
+            sums = _sum_factorised(fv, (scheme.nodes,) * len(live), max_degree)
     coeffs = dict(zip(alphas, sums.tolist()))
     residual_sq = sq_mass - sum(c * c for c in coeffs.values())
     residual = math.sqrt(max(residual_sq, 0.0))
@@ -402,8 +415,7 @@ def _weighted_basis(n, max_degree):
     """B[k, i] = w_i sqrt(k!) phi_k(x_i) = w_i He_k(x_i)/sqrt(k!) over the
     kept n-point Gauss-Hermite rule (x, w), for k = 0..max_degree."""
     x, w = _hermite_rule(n)
-    root = _sqrt_factorial_column(max_degree)
-    return _read_only(_phi_table(x, max_degree) * root[:, None] * w[None, :])
+    return _read_only(_basis_table(x, max_degree) * w[None, :])
 
 
 def exp_functional_coeffs(gamma, z, max_degree):

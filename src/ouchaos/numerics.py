@@ -187,20 +187,30 @@ def _philox_batches(seed, n):
 def mc_estimate(f, sampler, n, seed):
     """Monte Carlo mean of f over draws from ``sampler``.
 
-    sampler(generator, size) must return an array of ``size`` samples.
-    Samples are drawn in fixed-size batches, each from its own jumped
-    Philox substream, so the estimate is a pure function of (seed, n).
-    The batches, with weights 1/n, go through :func:`_gauss_average` as
-    the sampler returned them (they are only read), and its standard error
-    merges centred second moments batch by batch.  Returns (mean, stderr).
+    sampler(generator, size) must return an array of shape (size, d), one
+    d-dimensional sample per row, even for d = 1; any other shape raises
+    ValueError before f sees the batch.  Samples are drawn in fixed-size
+    batches, each from its own jumped Philox substream, so the estimate is
+    a pure function of (seed, n).  The batches, with weights 1/n, go
+    through :func:`_gauss_average` as the sampler returned them (they are
+    only read), and its standard error merges centred second moments batch
+    by batch.  Returns (mean, stderr).
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
     weight = np.full(min(n, _MC_BATCH), 1.0 / n)
-    pieces = ((sampler(gen, size), weight[:size])
-              for gen, size in _philox_batches(seed, n))
+
+    def pieces():
+        for gen, size in _philox_batches(seed, n):
+            batch = sampler(gen, size)
+            if np.ndim(batch) != 2 or len(batch) != size:
+                raise ValueError(
+                    f"sampler returned shape {np.shape(batch)}, expected "
+                    f"({size}, d): one row per sample")
+            yield batch, weight[:size]
+
     # one zero mean, which broadcasts over the samples' coordinates
-    value, err = _gauss_average(f, np.zeros((1, 1)), pieces,
+    value, err = _gauss_average(f, np.zeros((1, 1)), pieces(),
                                 QuadScheme.monte_carlo(n, seed))
     return float(value[0]), float(err[0])
 

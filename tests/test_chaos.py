@@ -206,20 +206,31 @@ def test_project_skips_kernel_directions():
     assert all(a[1] == 0 for a in e.coeffs)
 
 
-def test_project_monte_carlo_is_the_weighted_rule_sum():
-    # the kernel direction x_1 is pruned from the draws and from the basis
-    g = SpectralGaussian([1.5, 0.0, 0.6])
-    scheme = QuadScheme.monte_carlo(70_000, seed=3)
-    f = lambda p: np.exp(0.3 * p[:, 0] - 0.2 * p[:, 2])
-    e = project(g, f, 2, scheme)
-    pts, w = gauss_rule(scheme, g.sqrt_cols())
-    assert np.all(pts[:, 1] == 0.0)
-    fv = f(pts)
-    for alpha in enumerate_up_to(3, 2):
-        if alpha[1] == 0:
-            want = np.dot(w, fv * phi_alpha(g, alpha, pts))
-            assert e[alpha] == pytest.approx(want, rel=1e-12, abs=1e-15)
-    assert all(a[1] == 0 for a in e.coeffs)
+def test_project_refuses_an_oversized_monte_carlo_loop_before_drawing():
+    # 10 626 indices of degree <= 4 on 20 axes times 200 000 samples
+    gamma = SpectralGaussian(1.0 / np.arange(1, 21) ** 2)
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[:, 0] ** 2 * p[:, 1]
+
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLarge, match="PROJECT_MAX_PRODUCTS"):
+        project(gamma, f, 4, QuadScheme.monte_carlo(200_000, seed=0))
+    assert time.perf_counter() - start < 0.5
+    assert not calls
+
+
+def test_monte_carlo_budget_counts_indices_on_supported_axes(monkeypatch):
+    # 6 indices of degree <= 2 on the two supported axes, times 1 000 samples
+    g = SpectralGaussian([1.0, 0.0, 0.5])
+    scheme = QuadScheme.monte_carlo(1_000, seed=0)
+    monkeypatch.setattr(chaos, "PROJECT_MAX_PRODUCTS", 6_000)
+    assert len(project(g, lambda p: 1.0 + p[:, 0], 2, scheme).coeffs) == 6
+    monkeypatch.setattr(chaos, "PROJECT_MAX_PRODUCTS", 5_999)
+    with pytest.raises(SizeTooLarge, match="6000 index x sample products"):
+        project(g, lambda p: 1.0 + p[:, 0], 2, scheme)
 
 
 def orthonormal_hermite(e, xi):
@@ -258,6 +269,28 @@ def per_index_projection(gamma, f, max_degree, nodes):
 
 ORACLE_MEASURES = [[1.2], [0.7, 1.3], [1.5, 0.4, 0.9], [0.6, 1.1, 0.8, 1.4],
                    [1.0, 1e-14, 0.0, 2.0]]
+
+
+def test_project_monte_carlo_is_the_weighted_rule_sum():
+    # 70 000 draws span two Philox batches; kernel directions are pruned
+    # from the draws and from the basis
+    scheme = QuadScheme.monte_carlo(70_000, seed=3)
+    for lam, degree in itertools.product(ORACLE_MEASURES, range(5)):
+        g = SpectralGaussian(lam)
+        kernel = np.flatnonzero(~g.support)
+        a = np.random.default_rng(len(lam) * 10 + degree).uniform(
+            -0.3, 0.3, g.dim)
+        f = lambda p: np.exp(p @ a)
+        e = project(g, f, degree, scheme)
+        pts, w = gauss_rule(scheme, g.sqrt_cols())
+        assert np.all(pts[:, kernel] == 0.0)
+        fv = f(pts)
+        for alpha in enumerate_up_to(g.dim, degree):
+            if not any(alpha[j] for j in kernel):
+                want = np.dot(w, fv * per_term_sum(g, [(alpha, 1.0)], pts))
+                assert e[alpha] == pytest.approx(want, rel=1e-12, abs=1e-15), (
+                    lam, alpha)
+        assert all(not any(alpha[j] for j in kernel) for alpha in e.coeffs)
 
 
 @pytest.mark.parametrize("lam", ORACLE_MEASURES, ids=lambda lam: f"dim{len(lam)}")

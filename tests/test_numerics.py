@@ -323,6 +323,22 @@ def test_mc_estimate_leaves_a_read_only_sample_alone():
                               70_000, seed=9)
 
 
+def test_mc_estimate_asks_for_one_row_per_sample():
+    # a one-dimensional sampler gives a flat array of draws, not (size, 1)
+    calls = []
+
+    def f(p):
+        calls.append(p.shape)
+        return p ** 2
+
+    with pytest.raises(ValueError, match=r"\(1000, d\)"):
+        mc_estimate(f, lambda gen, size: gen.standard_normal(size), 1000, 0)
+    with pytest.raises(ValueError, match=r"shape \(999, 1\)"):
+        mc_estimate(f, lambda gen, size: gen.standard_normal((size - 1, 1)),
+                    1000, 0)
+    assert not calls
+
+
 def test_mc_estimate_of_a_one_sample_last_batch():
     # the last Philox batch holds one draw, averaged as a rule point
     n = numerics._MC_BATCH + 1
