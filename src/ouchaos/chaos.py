@@ -38,10 +38,13 @@ class MultiIndex(tuple):
     """Multi-index of nonnegative integers; behaves as a plain tuple."""
 
     def __new__(cls, entries):
-        entries = tuple(int(e) for e in entries)
-        if any(e < 0 for e in entries):
+        entries = tuple(entries)
+        ints = tuple(map(int, entries))
+        if ints != entries:
+            raise ValueError("multi-index entries must be integers")
+        if min(ints, default=0) < 0:
             raise ValueError("multi-index entries must be nonnegative")
-        return super().__new__(cls, entries)
+        return super().__new__(cls, ints)
 
     @property
     def order(self):
@@ -65,51 +68,72 @@ def _colex_key(alpha):
 
 
 @lru_cache(maxsize=None)
+def _positions(d, n):
+    """The multi-indices of order n in d slots as a (K, n) table of their
+    positions (MultiIndex.repeated()), row k the one of graded colex rank k."""
+    rows = list(itertools.combinations_with_replacement(range(d), n))
+    rows = np.array(rows, dtype=np.intp).reshape(len(rows), n)
+    table = np.empty_like(rows)
+    table[_colex_rank(rows)] = rows
+    return _read_only(table)
+
+
+def _colex_rank(rows):
+    """sum_k C(p_k + k, k + 1) for each row p_0 <= ... <= p_{n-1}: its graded
+    colex rank, by the combinatorial number system (Knuth, TAOCP 4A 7.2.1.3)."""
+    rank = np.zeros(len(rows), dtype=np.intp)
+    for k in range(rows.shape[1]):
+        binom = top = rows[:, k] + k
+        for i in range(1, k + 1):
+            binom = binom * (top - i) // (i + 1)  # exact: C(top, i + 1)
+        rank += binom
+    return rank
+
+
+def _multi_indices(positions, d):
+    """The rows of a position table as MultiIndex tuples of d entries."""
+    counts = (positions[:, :, None] == np.arange(d)).sum(axis=1)
+    # nonnegative ints already, so MultiIndex's checks are skipped
+    return tuple(tuple.__new__(MultiIndex, row) for row in counts.tolist())
+
+
+@lru_cache(maxsize=None)
 def _indices(d, n):
-    """The multi-indices of order n in d >= 1 slots, in graded colex order;
-    only this (d, n) is kept, each index built once from plain tuples."""
-    return tuple(map(MultiIndex, _compositions(d, n)))
-
-
-def _compositions(d, n):
-    if d == 1:
-        yield (n,)
-        return
-    for last in range(n + 1):
-        for head in _compositions(d - 1, n - last):
-            yield head + (last,)
+    """The multi-indices of order n in d >= 1 slots, in graded colex order."""
+    return _multi_indices(_positions(d, n), d)
 
 
 @lru_cache(maxsize=None)
 def _index_tables(d, n):
-    """Integer tables over _indices(d, n), n >= 1, for multiplying a
-    polynomial by a linear form in the graded colex order.
+    """Tables (slots, drop) over _positions(d, n), n >= 1, min(n, d) wide:
+    slots[k] holds the distinct nonzero slots of alpha_k, increasing, and
+    drop[k, j] is the row of alpha_k - e_{slots[k, j]} in degree n - 1.
+    Shorter rows are padded in front with slot 0 and the row past the last
+    of degree n - 1, which the caller keeps zero."""
+    pos = _positions(d, n)
+    slots = np.zeros((len(pos), min(n, d)), dtype=np.intp)
+    drop = np.full(slots.shape, len(_positions(d, n - 1)), dtype=np.intp)
+    # the last copy of each slot in a row, and its column from the right
+    last = np.append(pos[:, :-1] != pos[:, 1:], np.ones((len(pos), 1), bool),
+                     axis=1)
+    column = min(n, d) - np.cumsum(last[:, ::-1], axis=1)[:, ::-1]
+    for j in range(n):
+        k = np.flatnonzero(last[:, j])
+        slots[k, column[k, j]] = pos[k, j]
+        drop[k, column[k, j]] = _colex_rank(np.delete(pos[k], j, axis=1))
+    return _read_only((slots, drop))
 
-    down[i, k] is the position of alpha_k - e_i in _indices(d, n - 1), or
-    the length of that list when alpha_k[i] = 0; slot[k] is the last
-    nonzero slot of alpha_k and parent[k] = down[slot[k], k].
-    """
-    below = {alpha: k for k, alpha in enumerate(_indices(d, n - 1))}
-    alphas = _indices(d, n)
-    down = np.full((d, len(alphas)), len(below))
-    slot = np.empty(len(alphas), dtype=int)
-    for k, alpha in enumerate(alphas):
-        for i, e in enumerate(alpha):
-            if e > 0:
-                down[i, k] = below[alpha[:i] + (e - 1,) + alpha[i + 1:]]
-                slot[k] = i
-    parent = down[slot, np.arange(len(alphas))]
-    return _read_only((down, slot, parent))
 
-
-def _times_linear_forms(prev, down, forms):
+def _times_linear_forms(prev, slots, drop, forms):
     """Coefficients over degree n of the products (sum_i forms[i, c] y_i) * p_c(y),
     given those of the polynomials p_c over degree n - 1 as the columns of
-    prev; down is the table of _index_tables for degree n."""
+    prev; slots and drop are the tables of _index_tables for degree n, so
+    each row sums over the nonzero slots of its index only, in min(n, d)
+    passes over the rows."""
     padded = np.vstack([prev, np.zeros((1, prev.shape[1]))])
-    out = forms[0] * padded[down[0]]
-    for i in range(1, len(down)):
-        out += forms[i] * padded[down[i]]
+    out = forms[slots[:, 0]] * padded[drop[:, 0]]
+    for j in range(1, slots.shape[1]):
+        out += forms[slots[:, j]] * padded[drop[:, j]]
     return out
 
 
@@ -133,16 +157,17 @@ def _symmetric_powers(m, max_degree):
     prod_l (sum_i m[i, l] y_i)^{alpha_l}, as P_n[beta, alpha]
     sqrt(beta!/alpha!).  Each P_n is built from P_{n-1} by multiplying
     column alpha - e_l by the linear form of column l of m, l the last
-    nonzero slot of alpha.
+    nonzero slot of alpha: the last columns of the _index_tables of
+    degree n over the columns give l and the column of alpha - e_l.
     """
     rows, cols = m.shape
     _check_block(rows, cols, max_degree)
     p = np.ones((1, 1))
     yield p
     for n in range(1, max_degree + 1):
-        _, slot, parent = _index_tables(cols, n)
-        p = _times_linear_forms(p[:, parent], _index_tables(rows, n)[0],
-                                m[:, slot])
+        slots, drop = _index_tables(cols, n)
+        p = _times_linear_forms(p[:, drop[:, -1]], *_index_tables(rows, n),
+                                m[:, slots[:, -1]])
         yield p * (_sqrt_factorials(rows, n)[:, None]
                    / _sqrt_factorials(cols, n)[None, :])
 
@@ -172,7 +197,8 @@ def sigma_class_count(alpha):
     """Number of distinct rearrangements of the repeated-index list: |alpha|!/alpha!."""
     alpha = MultiIndex(alpha)
     if alpha.order > SIGMA_MAX_ORDER:
-        raise SizeTooLarge(f"order {alpha.order} exceeds the combinatorial budget")
+        raise SizeTooLarge(f"order {alpha.order} exceeds the budget "
+                           f"SIGMA_MAX_ORDER = {SIGMA_MAX_ORDER}")
     return math.factorial(alpha.order) // alpha.factorial
 
 
@@ -278,6 +304,8 @@ class ChaosExpansion:
     def __getitem__(self, alpha):
         if type(alpha) is not MultiIndex:
             alpha = MultiIndex(alpha)
+        if len(alpha) != self.measure.dim:
+            raise ValueError("multi-index length does not match the measure")
         return self.coeffs.get(alpha, 0.0)
 
     def sorted_items(self):
@@ -305,12 +333,14 @@ def l2_norm(expansion):
 def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     """Chaos coefficients c_alpha = integral of f * Phi_alpha against gamma.
 
-    A Gauss-Hermite grid is projected by sum factorisation
-    (:func:`_sum_factorised`).  Monte Carlo draws have no tensor structure
-    and are streamed in the pieces of 8 192 points that the rule hands
-    out; each piece gets one :func:`_basis_table` over the supported axes,
-    and each multi-index multiplies f by the table rows of its nonzero
-    entries only.  That loop costs indices x samples products, so before
+    The indices are enumerated on the L supported axes only, as
+    live[_positions(L, n)]: live is increasing, so they keep the graded
+    colex order of the full dimension.  A Gauss-Hermite grid is projected
+    by sum factorisation (:func:`_sum_factorised`).  Monte Carlo draws
+    have no tensor structure and are streamed in the pieces of 8 192
+    points that the rule hands out; each piece gets one
+    :func:`_basis_table` over the supported axes, and each multi-index
+    multiplies f by the table rows of its nonzero entries only.  That loop costs indices x samples products, so before
     anything is drawn or enumerated SizeTooLarge is raised when
     C(max_degree + L, L) indices on L supported axes times the samples
     exceed PROJECT_MAX_PRODUCTS.  With expect_polynomial=True the Parseval
@@ -333,9 +363,8 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     # oversized grid is refused at once
     batches = _rule_batches(scheme, gamma.sqrt_cols())
     first = next(batches)
-    kernel = np.flatnonzero(~gamma.support).tolist()
-    alphas = [a for a in enumerate_up_to(gamma.dim, max_degree)
-              if not any(a[j] for j in kernel)]
+    alphas = [alpha for n in range(max_degree + 1) for alpha in
+              _multi_indices(live[_positions(len(live), n)], gamma.dim)]
     if sampled:
         # (exponent, position in live) of each index's nonzero entries
         factors = [[(a[j], i) for i, j in enumerate(live) if a[j]]
@@ -420,19 +449,18 @@ def _weighted_basis(n, max_degree):
 
 def exp_functional_coeffs(gamma, z, max_degree):
     """Chaos coefficients of the exponential functional E_z:
-    c_alpha = prod_j z_j^{alpha_j} / sqrt(alpha!), over the support of gamma."""
+    c_alpha = prod_j z_j^{alpha_j} / sqrt(alpha!), over the support of gamma.
+    Only indices on the supported axes where z_j != 0 are nonzero, so they
+    are enumerated on those axes, in graded colex order."""
     z = np.asarray(z, dtype=float).reshape(-1)
-    live = [j for j in range(gamma.dim) if gamma.support[j] and z[j] != 0.0]
-    coeffs = {MultiIndex([0] * gamma.dim): 1.0}
-    for n in range(1, max_degree + 1):
-        for packed in (_indices(len(live), n) if live else ()):
-            alpha = [0] * gamma.dim
-            for pos, e in zip(live, packed):
-                alpha[pos] = e
-            alpha = MultiIndex(alpha)
+    live = np.flatnonzero([gamma.support[j] and z[j] != 0.0
+                           for j in range(gamma.dim)])
+    coeffs = {}
+    for n in range(max_degree + 1):
+        for alpha in _multi_indices(live[_positions(len(live), n)], gamma.dim):
             c = 1.0
-            for pos, e in zip(live, packed):
-                c *= z[pos] ** e
+            for j in live.tolist():
+                c *= z[j] ** alpha[j]
             coeffs[alpha] = c / math.sqrt(alpha.factorial)
     return ChaosExpansion(gamma, max_degree, coeffs)
 
@@ -448,11 +476,12 @@ def monomial_coeffs(gamma, h_list):
     hs = [np.asarray(h, dtype=float).reshape(-1) for h in h_list]
     n = len(hs)
     if n > MONOMIAL_MAX_FACTORS:
-        raise SizeTooLarge(f"{n} factors exceed the rearrangement budget")
+        raise SizeTooLarge(f"product of {n} factors exceeds the budget "
+                           f"MONOMIAL_MAX_FACTORS = {MONOMIAL_MAX_FACTORS}")
     d = gamma.dim
     poly = np.ones((1, 1))
     for k, h in enumerate(hs, start=1):
         live = np.where(gamma.support, h, 0.0)
-        poly = _times_linear_forms(poly, _index_tables(d, k)[0], live[:, None])
+        poly = _times_linear_forms(poly, *_index_tables(d, k), live[:, None])
     values = poly[:, 0] * _sqrt_factorials(d, n)
     return ChaosExpansion(gamma, n, dict(zip(_indices(d, n), values.tolist())))

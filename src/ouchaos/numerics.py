@@ -142,7 +142,8 @@ def gh_tensor(dim, n):
         return np.zeros((1, 0)), np.ones(1)
     if n ** dim > _GRID_CAP:
         raise SchemeTooCoarse(
-            f"tensor grid {n}^{dim} exceeds the size cap; use monte_carlo")
+            f"tensor grid {n}^{dim} exceeds the budget _GRID_CAP = {_GRID_CAP}; "
+            "use monte_carlo")
     x, w = _hermite_rule(n)
     pts = np.empty((n,) * dim + (dim,))
     wts = np.ones(())

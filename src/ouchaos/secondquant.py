@@ -135,7 +135,8 @@ def permanent(a):
     if a.shape != (n, n):
         raise ValueError("permanent needs a square matrix")
     if n > PERMANENT_MAX_SIZE:
-        raise SizeTooLarge(f"permanent of size {n} exceeds the budget")
+        raise SizeTooLarge(f"permanent of size {n} exceeds the budget "
+                           f"PERMANENT_MAX_SIZE = {PERMANENT_MAX_SIZE}")
     if n == 0:
         return 1.0
     row_sums = np.zeros(n)
@@ -165,7 +166,8 @@ def gamma_matrix_element(T, alpha, beta):
     if n != beta.order:
         return 0.0
     if n > PERMANENT_MAX_SIZE:
-        raise SizeTooLarge(f"degree {n} exceeds the permanent budget")
+        raise SizeTooLarge(f"degree-{n} permanent exceeds the budget "
+                           f"PERMANENT_MAX_SIZE = {PERMANENT_MAX_SIZE}")
     if n == 0:
         return 1.0
     rows = beta.repeated()

@@ -32,6 +32,7 @@ from ouchaos.secondquant import (CMContraction, gamma_integral_apply,
 SAMPLES = {
     "chaos._indices": [(1, 0), (3, 2)],
     "chaos._index_tables": [(3, 2)],
+    "chaos._positions": [(3, 2), (0, 0)],
     "chaos._degree_cut": [(0, 3), (2, 4)],
     "chaos._sqrt_factorials": [(3, 2)],
     "chaos._weighted_basis": [(2, 5), (6, 4)],

@@ -17,7 +17,8 @@ from ouchaos.chaos import (ChaosExpansion, MultiIndex, enumerate_indices,
 from ouchaos.errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                             SizeTooLarge)
 from ouchaos.gaussian import SpectralGaussian, expect, white_noise
-from ouchaos.numerics import QuadScheme, gauss_rule
+from ouchaos.numerics import QuadScheme, gauss_rule, gh_tensor
+from ouchaos.secondquant import CMContraction, gamma_matrix_element, permanent
 
 
 def test_multi_index_basics():
@@ -90,6 +91,69 @@ def test_enumeration_keeps_only_the_degrees_asked_for(d, max_degree):
     before = chaos._indices.cache_info().currsize
     enumerate_up_to(d, max_degree)
     assert chaos._indices.cache_info().currsize - before <= max_degree + 1
+
+
+def test_enumerate_up_to_matches_the_recursion_in_40_coordinates():
+    assert enumerate_up_to(40, 3) == [a for n in range(4)
+                                      for a in _old_indices(40, n)]
+
+
+def test_colex_rank_numbers_the_rows_of_each_position_table():
+    for d in range(9):
+        for n in range(6):
+            table = chaos._positions(d, n)
+            assert table.shape == (math.comb(n + d - 1, n) if d else int(n == 0), n)
+            assert np.array_equal(chaos._colex_rank(table), np.arange(len(table)))
+
+
+def test_index_tables_drop_one_copy_of_each_nonzero_slot():
+    for d in range(1, 9):
+        for n in range(1, 6):
+            alphas, below = chaos._indices(d, n), chaos._indices(d, n - 1)
+            slots, drop = chaos._index_tables(d, n)
+            width = min(n, d)
+            assert slots.shape == drop.shape == (len(alphas), width)
+            for alpha, row, rows_below in zip(alphas, slots, drop):
+                nonzero = [i for i, e in enumerate(alpha) if e]
+                pad = width - len(nonzero)
+                assert row[pad:].tolist() == nonzero
+                assert not row[:pad].any()
+                assert (rows_below[:pad] == len(below)).all()
+                for i, k in zip(row[pad:], rows_below[pad:]):
+                    assert below[k] == tuple(e - (j == i)
+                                             for j, e in enumerate(alpha))
+
+
+def test_multi_index_refuses_fractional_entries():
+    g = SpectralGaussian([1.0, 1.0])
+    with pytest.raises(ValueError, match="integers"):
+        ChaosExpansion.from_json('[{"alpha": [1.9, 0], "c": 0.5}]', g, 2)
+    alpha = MultiIndex((2, np.int64(1), 3.0))
+    assert alpha == (2, 1, 3) and all(type(e) is int for e in alpha)
+
+
+def test_expansion_lookup_checks_the_length():
+    e = ChaosExpansion(SpectralGaussian([1.0, 1.0]), 2, {(1, 0): 0.5})
+    for key in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match="length"):
+            e[key]
+
+
+@pytest.mark.parametrize("call, error, budget", [
+    (lambda: sigma_class_count((21,)), SizeTooLarge, "SIGMA_MAX_ORDER = 20"),
+    (lambda: monomial_coeffs(SpectralGaussian([1.0]), [np.ones(1)] * 9),
+     SizeTooLarge, "MONOMIAL_MAX_FACTORS = 8"),
+    (lambda: permanent(np.ones((13, 13))), SizeTooLarge,
+     "PERMANENT_MAX_SIZE = 12"),
+    (lambda: gamma_matrix_element(
+        CMContraction.scalar(SpectralGaussian([1.0]), 0.5), (13,), (13,)),
+     SizeTooLarge, "PERMANENT_MAX_SIZE = 12"),
+    (lambda: gh_tensor(11, 5), SchemeTooCoarse, "_GRID_CAP = 4000000"),
+], ids=["sigma_class_count", "monomial_coeffs", "permanent",
+        "gamma_matrix_element", "gh_tensor"])
+def test_budget_refusals_name_their_constant(call, error, budget):
+    with pytest.raises(error, match=f"exceeds the budget {budget}"):
+        call()
 
 
 def test_sigma_class_count():
