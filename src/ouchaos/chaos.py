@@ -90,17 +90,18 @@ def _colex_rank(rows):
     return rank
 
 
-def _multi_indices(positions, d):
-    """The rows of a position table as MultiIndex tuples of d entries."""
+@lru_cache(maxsize=None)
+def _indices(d, n, axes=None):
+    """The multi-indices of order n in d slots loading only the increasing
+    tuple of axes (default, or all d: the same keys), in graded colex order,
+    which axes[_positions(len(axes), n)] keeps since axes increase."""
+    if axes is not None and len(axes) == d:
+        return _indices(d, n)
+    axes = np.array(range(d) if axes is None else axes, dtype=np.intp)
+    positions = axes[_positions(len(axes), n)]
     counts = (positions[:, :, None] == np.arange(d)).sum(axis=1)
     # nonnegative ints already, so MultiIndex's checks are skipped
     return tuple(tuple.__new__(MultiIndex, row) for row in counts.tolist())
-
-
-@lru_cache(maxsize=None)
-def _indices(d, n):
-    """The multi-indices of order n in d >= 1 slots, in graded colex order."""
-    return _multi_indices(_positions(d, n), d)
 
 
 @lru_cache(maxsize=None)
@@ -333,21 +334,19 @@ def l2_norm(expansion):
 def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     """Chaos coefficients c_alpha = integral of f * Phi_alpha against gamma.
 
-    The indices are enumerated on the L supported axes only, as
-    live[_positions(L, n)]: live is increasing, so they keep the graded
-    colex order of the full dimension.  A Gauss-Hermite grid is projected
-    by sum factorisation (:func:`_sum_factorised`).  Monte Carlo draws
-    have no tensor structure and are streamed in the pieces of 8 192
-    points that the rule hands out; each piece gets one
-    :func:`_basis_table` over the supported axes, and each multi-index
-    multiplies f by the table rows of its nonzero entries only.  That loop costs indices x samples products, so before
-    anything is drawn or enumerated SizeTooLarge is raised when
-    C(max_degree + L, L) indices on L supported axes times the samples
-    exceed PROJECT_MAX_PRODUCTS.  With expect_polynomial=True the Parseval
-    residual ||f||^2 - sum c_alpha^2 is computed on the same grid and must
-    stay below the scheme tolerance (default 1e-9), otherwise
-    SchemeTooCoarse is raised; the residual is stored on the returned
-    expansion either way.
+    The keys are :func:`_indices` on the L supported axes, shared by every
+    call.  A Gauss-Hermite grid is projected by sum factorisation
+    (:func:`_sum_factorised`).  Monte Carlo draws have no tensor structure
+    and are streamed in the pieces of 8 192 points that the rule hands out;
+    each piece gets one :func:`_basis_table` over the supported axes, and
+    each multi-index multiplies f by the table rows of its nonzero entries
+    only.  That loop costs indices x samples products, so before anything is
+    drawn or enumerated SizeTooLarge is raised when C(max_degree + L, L)
+    indices on L supported axes times the samples exceed
+    PROJECT_MAX_PRODUCTS.  With expect_polynomial=True the Parseval residual
+    ||f||^2 - sum c_alpha^2 is computed on the same grid and must stay below
+    the scheme tolerance (default 1e-9), otherwise SchemeTooCoarse is
+    raised; the residual is stored on the returned expansion either way.
     """
     live = np.flatnonzero(gamma.support)
     if scheme is None:
@@ -363,8 +362,8 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     # oversized grid is refused at once
     batches = _rule_batches(scheme, gamma.sqrt_cols())
     first = next(batches)
-    alphas = [alpha for n in range(max_degree + 1) for alpha in
-              _multi_indices(live[_positions(len(live), n)], gamma.dim)]
+    alphas = [a for n in range(max_degree + 1)
+              for a in _indices(gamma.dim, n, tuple(live.tolist()))]
     if sampled:
         # (exponent, position in live) of each index's nonzero entries
         factors = [[(a[j], i) for i, j in enumerate(live) if a[j]]
@@ -450,18 +449,21 @@ def _weighted_basis(n, max_degree):
 def exp_functional_coeffs(gamma, z, max_degree):
     """Chaos coefficients of the exponential functional E_z:
     c_alpha = prod_j z_j^{alpha_j} / sqrt(alpha!), over the support of gamma.
-    Only indices on the supported axes where z_j != 0 are nonzero, so they
-    are enumerated on those axes, in graded colex order."""
+    Only indices on the supported axes where z_j != 0 are nonzero, so the
+    keys are :func:`_indices` on those axes; z has gamma.dim entries."""
     z = np.asarray(z, dtype=float).reshape(-1)
-    live = np.flatnonzero([gamma.support[j] and z[j] != 0.0
-                           for j in range(gamma.dim)])
+    if len(z) != gamma.dim:
+        raise ValueError(f"z of length {len(z)} on a measure of dimension "
+                         f"{gamma.dim}")
+    live = np.flatnonzero(gamma.support & (z != 0.0)).tolist()
     coeffs = {}
     for n in range(max_degree + 1):
-        for alpha in _multi_indices(live[_positions(len(live), n)], gamma.dim):
+        for alpha, root in zip(_indices(gamma.dim, n, tuple(live)),
+                               _sqrt_factorials(len(live), n)):
             c = 1.0
-            for j in live.tolist():
+            for j in live:
                 c *= z[j] ** alpha[j]
-            coeffs[alpha] = c / math.sqrt(alpha.factorial)
+            coeffs[alpha] = c / root
     return ChaosExpansion(gamma, max_degree, coeffs)
 
 

@@ -217,7 +217,8 @@ def _run(body):
     except ConfigInvalid as exc:
         click.echo("config error: %s" % exc, err=True)
         sys.exit(2)
-    except (AssertionError, ArithmeticError, ValueError, RuntimeError) as exc:
+    except (AssertionError, ArithmeticError, ValueError, RuntimeError,
+            MemoryError) as exc:
         click.echo("failure: %s: %s" % (type(exc).__name__, exc), err=True)
         sys.exit(1)
 

@@ -242,7 +242,7 @@ class PolarFactors:
 def polar_factors(T):
     """T = C B with B = (T*T)^{1/2} nonnegative on H_mu and C a partial
     isometry vanishing on the kernel of B."""
-    u, s, vt = np.linalg.svd(T.matrix)
+    u, s, vt = T._decomposition()
     k = len(s)
     rank_tol = 1e-12 * (s[0] if k and s[0] > 0.0 else 1.0)
     b = vt.T @ np.diag(np.pad(s, (0, T.mu.dim - k))) @ vt

@@ -30,7 +30,7 @@ from ouchaos.secondquant import (CMContraction, gamma_integral_apply,
                                  mehler_factors)
 
 SAMPLES = {
-    "chaos._indices": [(1, 0), (3, 2)],
+    "chaos._indices": [(1, 0), (3, 2), (4, 2, (0, 2))],
     "chaos._index_tables": [(3, 2)],
     "chaos._positions": [(3, 2), (0, 0)],
     "chaos._degree_cut": [(0, 3), (2, 4)],

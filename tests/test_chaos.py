@@ -270,6 +270,35 @@ def test_project_skips_kernel_directions():
     assert all(a[1] == 0 for a in e.coeffs)
 
 
+@pytest.mark.parametrize("scheme", [QuadScheme.gauss_hermite(6),
+                                    QuadScheme.monte_carlo(3000, seed=4)])
+def test_project_makes_its_keys_once(scheme):
+    g = SpectralGaussian([1.0, 0.0, 0.5])
+    f = lambda p: p[:, 0] ** 2 * p[:, 2] + 0.3
+    first = project(g, f, 4, scheme)
+    size = chaos._indices.cache_info().currsize
+    second = project(g, f, 4, scheme)
+    assert chaos._indices.cache_info().currsize == size
+    assert list(first.coeffs) == list(second.coeffs)
+    assert all(a is b for a, b in zip(first.coeffs, second.coeffs))
+
+
+def test_project_on_full_support_hands_out_the_enumerated_keys():
+    g = SpectralGaussian([1.0, 0.7, 0.5])
+    e = project(g, lambda p: np.exp(0.3 * p[:, 0] - 0.2 * p[:, 1]
+                                    + 0.4 * p[:, 2]), 3)
+    keys = enumerate_up_to(3, 3)
+    assert len(e.coeffs) == len(keys)
+    assert all(a is b for a, b in zip(e.coeffs, keys))
+
+
+def test_project_keeps_the_keys_and_their_order_off_a_kernel_axis():
+    g = SpectralGaussian([1.0, 0.0, 0.5])
+    e = project(g, lambda p: np.exp(0.3 * p[:, 0] + 0.4 * p[:, 2]), 3)
+    assert list(e.coeffs) == [a for a in enumerate_up_to(3, 3) if a[1] == 0]
+    assert all(type(a) is MultiIndex for a in e.coeffs)
+
+
 def test_project_refuses_an_oversized_monte_carlo_loop_before_drawing():
     # 10 626 indices of degree <= 4 on 20 axes times 200 000 samples
     gamma = SpectralGaussian(1.0 / np.arange(1, 21) ** 2)
@@ -448,6 +477,24 @@ def test_exp_functional_coeffs_zero():
     g = SpectralGaussian([1.0, 1.0])
     e = exp_functional_coeffs(g, [0.0, 0.0], 4)
     assert e.coeffs == {(0, 0): 1.0}
+
+
+def test_exp_functional_coeffs_refuse_a_z_of_another_dimension():
+    with pytest.raises(ValueError, match="z of length 3 .* dimension 1"):
+        exp_functional_coeffs(SpectralGaussian([1.0]), [0.5, 0.7, 9.0], 2)
+    with pytest.raises(ValueError, match="z of length 1 .* dimension 2"):
+        exp_functional_coeffs(SpectralGaussian([1.0, 0.5]), [0.5], 2)
+
+
+def test_exp_functional_coeffs_load_only_supported_nonzero_axes():
+    g = SpectralGaussian([1.0, 0.0, 0.5, 2.0])
+    z = np.array([0.7, 0.9, 0.0, -0.4])
+    e = exp_functional_coeffs(g, z, 4)
+    keys = [a for a in enumerate_up_to(4, 4) if a[1] == a[2] == 0]
+    assert list(e.coeffs) == keys
+    for alpha in keys:
+        assert e[alpha] == (z[0] ** alpha[0] * z[3] ** alpha[3]
+                            / math.sqrt(alpha.factorial))
 
 
 def test_exp_functional_coeffs_match_projection():

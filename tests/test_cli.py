@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from ouchaos import evolution
+from ouchaos import cli, evolution
 from ouchaos.cli import main
 
 
@@ -233,6 +233,17 @@ class TestHsTable:
             assert float(row["top_singular"]) == pytest.approx(
                 math.exp(-gap), abs=1e-9)
             assert float(row["partial"]) <= float(row["closed_form"]) + 1e-9
+
+    def test_out_of_memory_exits_one_without_a_traceback(self, runner,
+                                                         monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the degree table")
+
+        monkeypatch.setattr(cli, "hs_norm_gamma", exhausted)
+        result = runner.invoke(main, ["hs-table"])
+        assert result.exit_code == 1
+        assert result.stderr.strip() == ("failure: MemoryError: cannot "
+                                         "allocate the degree table")
 
 
 class TestMehlerDemo:

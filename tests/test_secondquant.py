@@ -409,6 +409,25 @@ def test_polar_factors_random():
     assert np.linalg.eigvalsh(pf.B.matrix).min() >= -1e-12
 
 
+def test_polar_factors_read_the_kept_decomposition(monkeypatch):
+    rng = np.random.default_rng(43)
+    t = random_contraction(rng, random_measure(rng, 3), random_measure(rng, 2))
+    fresh = polar_factors(CMContraction(t.mu, t.nu, t.matrix))
+    t.op_norm
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    pf = polar_factors(t)
+    assert calls == []
+    assert np.array_equal(pf.B.matrix, fresh.B.matrix)
+    assert np.array_equal(pf.C.matrix, fresh.C.matrix)
+
+
 def test_q0_threshold_examples():
     assert q0_threshold(CMContraction.identity(STD1), 2.0) == pytest.approx(2.0)
     t = CMContraction(STD1, STD1, [[0.5]])
