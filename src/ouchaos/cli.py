@@ -70,7 +70,7 @@ def _load_config(path):
     return _require_mapping(cfg, "config")
 
 
-def _model_from(cfg, seed):
+def _model_from(cfg):
     spec = _require_mapping(cfg.get("model", DEFAULT_MODEL), "model")
     _reject_unknown(spec, {"preset", "params", "inline"}, "model")
     if "inline" in spec:
@@ -197,61 +197,70 @@ def _emit_csv(header, rows, out_path):
         sys.stdout.write(data)
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(),
-                      default=None, help="JSON experiment config.")(fn)
-    fn = click.option("--out", "out_path", type=click.Path(), default=None,
-                      help="Output file (default stdout).")(fn)
-    fn = click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=0,
-                      show_default=True,
-                      help="Seed for any Monte Carlo scheme.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Accepted for interface compatibility; results "
-                           "never depend on it.")(fn)
-    return fn
-
-
-def _run(body):
-    try:
-        body()
-    except ConfigInvalid as exc:
-        click.echo("config error: %s" % exc, err=True)
-        sys.exit(2)
-    except (AssertionError, ArithmeticError, ValueError, RuntimeError,
-            MemoryError) as exc:
-        click.echo("failure: %s: %s" % (type(exc).__name__, exc), err=True)
-        sys.exit(1)
-
-
 @click.group()
 def main():
     """Gaussian chaos, second quantization and non-autonomous OU flows."""
 
 
-@main.command("verify")
-@_common_options
-def cmd_verify(config_path, out_path, seed, threads):
-    """Run every module's invariant suite and report ok/FAIL per check."""
-    def body():
-        cfg = _load_config(config_path)
-        _reject_unknown(cfg, {"model", "contractions"}, "config")
-        model = _model_from(cfg, seed)
-        extra = _contractions_from(cfg)
-        report = []
-        for name, check in _verify_checks(model, extra, seed):
+def _command(name, keys):
+    """Register body(cfg, seed, out_path) as the subcommand ``name``.
+
+    The command loads --config and rejects top-level keys outside ``keys``.
+    A (header, rows) table returned by body goes out as CSV to --out, else
+    to the config's ``out``, else to stdout.  ConfigInvalid exits 2 and a
+    computation or assertion failure exits 1, each with a one-line message.
+    """
+    def register(body):
+        @main.command(name, help=body.__doc__)
+        @click.option("--threads", type=int, default=1, show_default=True,
+                      expose_value=False,
+                      help="Accepted for interface compatibility; results "
+                           "never depend on it.")
+        @click.option("--seed", type=click.IntRange(0, 2 ** 64 - 1), default=0,
+                      show_default=True,
+                      help="Seed for any Monte Carlo scheme.")
+        @click.option("--out", "out_path", type=click.Path(), default=None,
+                      help="Output file (default stdout).")
+        @click.option("--config", "config_path", type=click.Path(),
+                      default=None, help="JSON experiment config.")
+        def command(config_path, out_path, seed):
             try:
-                check()
-            except Exception as exc:  # report and stop at the first failure
-                click.echo("FAIL %s: %s: %s" % (name, type(exc).__name__, exc))
-                report.append({"name": name, "status": "fail",
-                               "error": "%s: %s" % (type(exc).__name__, exc)})
-                _write_report(report, out_path)
+                cfg = _load_config(config_path)
+                _reject_unknown(cfg, keys, "config")
+                table = body(cfg, seed, out_path)
+                if table is not None:
+                    _emit_csv(*table, out_path or cfg.get("out"))
+            except ConfigInvalid as exc:
+                click.echo("config error: %s" % exc, err=True)
+                sys.exit(2)
+            except (AssertionError, ArithmeticError, ValueError, RuntimeError,
+                    MemoryError) as exc:
+                click.echo("failure: %s: %s" % (type(exc).__name__, exc),
+                           err=True)
                 sys.exit(1)
-            click.echo("ok %s" % name)
-            report.append({"name": name, "status": "ok"})
-        click.echo("passed %d/%d" % (len(report), len(report)))
-        _write_report(report, out_path)
-    _run(body)
+        return command
+    return register
+
+
+@_command("verify", {"model", "contractions"})
+def cmd_verify(cfg, seed, out_path):
+    """Run every module's invariant suite and report ok/FAIL per check."""
+    model = _model_from(cfg)
+    extra = _contractions_from(cfg)
+    report = []
+    for name, check in _verify_checks(model, extra, seed):
+        try:
+            check()
+        except Exception as exc:  # report and stop at the first failure
+            click.echo("FAIL %s: %s: %s" % (name, type(exc).__name__, exc))
+            report.append({"name": name, "status": "fail",
+                           "error": "%s: %s" % (type(exc).__name__, exc)})
+            _write_report(report, out_path)
+            sys.exit(1)
+        click.echo("ok %s" % name)
+        report.append({"name": name, "status": "ok"})
+    click.echo("passed %d/%d" % (len(report), len(report)))
+    _write_report(report, out_path)
 
 
 def _write_report(report, out_path):
@@ -268,7 +277,7 @@ def _verify_checks(model, extra_contractions, seed):
     rng = np.random.default_rng(seed)
     gamma2 = SpectralGaussian([1.5, 0.7])
 
-    def gh_moments():
+    def gauss_hermite_moments():
         xi, w = gh_nodes(8)
         for k in range(0, 16):
             want = 0.0 if k % 2 else float(np.prod(np.arange(1, k, 2)))
@@ -415,147 +424,107 @@ def _verify_checks(model, extra_contractions, seed):
         q0 = hyper_threshold(model, 0.0, 1.0, 2.0)
         assert math.isfinite(q0) and q0 > 2.0
 
-    return [
-        ("gauss_hermite_moments", gh_moments),
-        ("mc_determinism", mc_determinism),
-        ("white_noise_calculus", white_noise_calculus),
-        ("chaos_orthonormality", chaos_orthonormality),
-        ("chaos_parseval", chaos_parseval),
-        ("series_equals_integral", series_equals_integral),
-        ("exponential_action", exponential_action),
-        ("composition_adjoint", composition_adjoint),
-        ("degreewise_norm", degreewise_norm),
-        ("hs_partial_vs_closed", hs_partial_vs_closed),
-        ("hyper_witness_window", hyper_witness_window),
-        ("contraction_cases", contraction_cases),
-        ("ou_cocycle", ou_cocycle),
-        ("ou_contraction", ou_contraction),
-        ("ou_invariance", ou_invariance),
-        ("ou_duality", ou_duality),
-        ("ou_representation", ou_representation),
-        ("ou_hyper_threshold", ou_hyper_threshold),
-    ]
+    return [(check.__name__, check) for check in (
+        gauss_hermite_moments, mc_determinism, white_noise_calculus,
+        chaos_orthonormality, chaos_parseval, series_equals_integral,
+        exponential_action, composition_adjoint, degreewise_norm,
+        hs_partial_vs_closed, hyper_witness_window, contraction_cases,
+        ou_cocycle, ou_contraction, ou_invariance, ou_duality,
+        ou_representation, ou_hyper_threshold)]
 
 
-@main.command("hyper-scan")
-@_common_options
-def cmd_hyper_scan(config_path, out_path, seed, threads):
+@_command("hyper-scan", {"model", "sweep", "out"})
+def cmd_hyper_scan(cfg, seed, out_path):
     """Sharp hypercontractivity thresholds over an (s, t, p) grid."""
-    def body():
-        cfg = _load_config(config_path)
-        _reject_unknown(cfg, {"model", "sweep", "out"}, "config")
-        model = _model_from(cfg, seed)
-        pairs, p_vals = _sweep_from(cfg, with_p=True)
-        rows = []
-        for (s, t) in pairs:
-            ell = pst_contraction(model, s, t)
-            norm = ell.op_norm
-            _, _, vt = ell._decomposition()
-            h = sqrt_apply(ell.mu, vt[0])
-            v = cm_norm(ell.mu, h) ** 2
-            tau2 = cm_norm(ell.nu, ell.apply_cm(h)) ** 2
-            for p in p_vals:
-                q0 = q0_threshold(ell, p)
-                diverges_at = (math.inf if tau2 == 0.0
-                               else 1.0 + (p - 1.0) * v / tau2)
-                rows.append((s, t, p, norm, q0, diverges_at))
-        _emit_csv(("s", "t", "p", "norm_U", "q0", "witness_diverges_at"),
-                  rows, out_path or cfg.get("out"))
-    _run(body)
+    model = _model_from(cfg)
+    pairs, p_vals = _sweep_from(cfg, with_p=True)
+    rows = []
+    for (s, t) in pairs:
+        ell = pst_contraction(model, s, t)
+        norm = ell.op_norm
+        _, _, vt = ell._decomposition()
+        h = sqrt_apply(ell.mu, vt[0])
+        v = cm_norm(ell.mu, h) ** 2
+        tau2 = cm_norm(ell.nu, ell.apply_cm(h)) ** 2
+        for p in p_vals:
+            q0 = q0_threshold(ell, p)
+            diverges_at = (math.inf if tau2 == 0.0
+                           else 1.0 + (p - 1.0) * v / tau2)
+            rows.append((s, t, p, norm, q0, diverges_at))
+    return ("s", "t", "p", "norm_U", "q0", "witness_diverges_at"), rows
 
 
-@main.command("decay")
-@_common_options
-def cmd_decay(config_path, out_path, seed, threads):
+@_command("decay", {"model", "sweep", "f", "scheme", "out"})
+def cmd_decay(cfg, seed, out_path):
     """Mixing diagnostics per (s, t): norms, thresholds, decay ratios."""
-    def body():
-        cfg = _load_config(config_path)
-        _reject_unknown(cfg, {"model", "sweep", "f", "scheme", "out"},
-                        "config")
-        model = _model_from(cfg, seed)
-        pairs = _sweep_from(cfg, with_p=False)
-        f, degree = _function_from(cfg, model.dim)
-        scheme = _scheme_from(cfg, seed)
-        rows = []
-        for (s, t) in pairs:
-            ell = pst_contraction(model, s, t)
-            _, cert = model.q_t_inf(t)
-            rows.append((s, t, ell.op_norm, q0_threshold(ell, 2.0),
-                         float(np.linalg.norm(ell.matrix)),
-                         decay_ratio(model, f, 2.0, s, t, scheme, degree=degree),
-                         cert))
-        _emit_csv(("s", "t", "norm_U_cm", "q0", "hs_norm", "decay_ratio_p2",
-                   "tail_cert"), rows, out_path or cfg.get("out"))
-    _run(body)
+    model = _model_from(cfg)
+    pairs = _sweep_from(cfg, with_p=False)
+    f, degree = _function_from(cfg, model.dim)
+    scheme = _scheme_from(cfg, seed)
+    rows = []
+    for (s, t) in pairs:
+        ell = pst_contraction(model, s, t)
+        _, cert = model.q_t_inf(t)
+        rows.append((s, t, ell.op_norm, q0_threshold(ell, 2.0),
+                     float(np.linalg.norm(ell.matrix)),
+                     decay_ratio(model, f, 2.0, s, t, scheme, degree=degree),
+                     cert))
+    return ("s", "t", "norm_U_cm", "q0", "hs_norm", "decay_ratio_p2",
+            "tail_cert"), rows
 
 
-@main.command("hs-table")
-@_common_options
-def cmd_hs_table(config_path, out_path, seed, threads):
+@_command("hs-table", {"model", "sweep", "contractions", "max_degree", "out"})
+def cmd_hs_table(cfg, seed, out_path):
     """Hilbert-Schmidt norms of quantized contractions, partial vs closed."""
-    def body():
-        cfg = _load_config(config_path)
-        _reject_unknown(cfg, {"model", "sweep", "contractions", "max_degree",
-                              "out"}, "config")
-        max_degree = cfg.get("max_degree", 40)
-        if not isinstance(max_degree, int) or max_degree < 0:
-            _fail("max_degree must be a nonnegative integer")
-        cases = []
-        if "contractions" in cfg:
-            for i, t_op in enumerate(_contractions_from(cfg)):
-                cases.append(("", "", t_op))
-        else:
-            model = _model_from(cfg, seed)
-            for (s, t) in _sweep_from(cfg, with_p=False):
-                cases.append((s, t, pst_contraction(model, s, t)))
-        rows = []
-        for (s, t, t_op) in cases:
-            out = hs_norm_gamma(t_op, max_degree)
-            top = float(t_op.singular_values[0]) if t_op.matrix.size else 0.0
-            rows.append((s, t, top, out["partial"], out["closed_form"],
-                         out["paper_form"], out["tail_bound"]))
-        _emit_csv(("s", "t", "top_singular", "partial", "closed_form",
-                   "paper_form", "tail_bound"), rows, out_path or cfg.get("out"))
-    _run(body)
+    max_degree = cfg.get("max_degree", 40)
+    if not isinstance(max_degree, int) or max_degree < 0:
+        _fail("max_degree must be a nonnegative integer")
+    if "contractions" in cfg:
+        cases = [("", "", t_op) for t_op in _contractions_from(cfg)]
+    else:
+        model = _model_from(cfg)
+        cases = [(s, t, pst_contraction(model, s, t))
+                 for (s, t) in _sweep_from(cfg, with_p=False)]
+    rows = []
+    for (s, t, t_op) in cases:
+        out = hs_norm_gamma(t_op, max_degree)
+        rows.append((s, t, t_op.op_norm, out["partial"], out["closed_form"],
+                     out["paper_form"], out["tail_bound"]))
+    return ("s", "t", "top_singular", "partial", "closed_form", "paper_form",
+            "tail_bound"), rows
 
 
-@main.command("mehler-demo")
-@_common_options
-def cmd_mehler_demo(config_path, out_path, seed, threads):
+@_command("mehler-demo", {"measure", "t", "f", "points", "nodes", "out"})
+def cmd_mehler_demo(cfg, seed, out_path):
     """Quantized scalar contraction against the classical OU semigroup."""
-    def body():
-        cfg = _load_config(config_path)
-        _reject_unknown(cfg, {"measure", "t", "f", "points", "nodes", "out"},
-                        "config")
-        lam = _numbers(cfg, "measure", [1.0, 0.5], "config")
-        times = _numbers(cfg, "t", [0.1, 0.5, 1.0, 2.0], "config")
-        if any(t < 0 for t in times):
-            _fail("t values must be nonnegative")
-        points = cfg.get("points", 5)
-        nodes = cfg.get("nodes", 20)
-        if not isinstance(points, int) or points < 1:
-            _fail("points must be a positive integer")
-        if not isinstance(nodes, int) or not 1 <= nodes <= 128:
-            _fail("nodes must be an integer in [1, 128]")
-        gamma = SpectralGaussian(lam)
-        f, degree = _function_from(cfg, gamma.dim)
-        e = project(gamma, f, max(degree, 1), QuadScheme.gauss_hermite(
-            max(degree + 2, 6)))
-        xs = gamma.sample(points, seed=seed)
-        pts, w = gh_tensor(gamma.dim, nodes)
-        y = pts * np.sqrt(gamma.eigenvalues)
-        rows = []
-        for t in times:
-            c = math.exp(-t)
-            quantized = gamma_series_apply(CMContraction.scalar(gamma, c), e)
-            dev = 0.0
-            for x in xs:
-                series = eval_expansion(quantized, x)
-                classical = float(w @ f(c * x + math.sqrt(1.0 - c * c) * y))
-                dev = max(dev, abs(series - classical))
-            rows.append((t, c, dev))
-        _emit_csv(("t", "c", "max_abs_dev"), rows, out_path or cfg.get("out"))
-    _run(body)
+    lam = _numbers(cfg, "measure", [1.0, 0.5], "config")
+    times = _numbers(cfg, "t", [0.1, 0.5, 1.0, 2.0], "config")
+    if any(t < 0 for t in times):
+        _fail("t values must be nonnegative")
+    points = cfg.get("points", 5)
+    nodes = cfg.get("nodes", 20)
+    if not isinstance(points, int) or points < 1:
+        _fail("points must be a positive integer")
+    if not isinstance(nodes, int) or not 1 <= nodes <= 128:
+        _fail("nodes must be an integer in [1, 128]")
+    gamma = SpectralGaussian(lam)
+    f, degree = _function_from(cfg, gamma.dim)
+    e = project(gamma, f, max(degree, 1), QuadScheme.gauss_hermite(
+        max(degree + 2, 6)))
+    xs = gamma.sample(points, seed=seed)
+    pts, w = gh_tensor(gamma.dim, nodes)
+    y = pts * np.sqrt(gamma.eigenvalues)
+    rows = []
+    for t in times:
+        c = math.exp(-t)
+        quantized = gamma_series_apply(CMContraction.scalar(gamma, c), e)
+        dev = 0.0
+        for x in xs:
+            series = eval_expansion(quantized, x)
+            classical = float(w @ f(c * x + math.sqrt(1.0 - c * c) * y))
+            dev = max(dev, abs(series - classical))
+        rows.append((t, c, dev))
+    return ("t", "c", "max_abs_dev"), rows
 
 
 if __name__ == "__main__":

@@ -104,7 +104,7 @@ CONSTANT_MODELS = {
     "malliavin_const": lambda: build_preset(
         "malliavin_const", {"rate_const": -0.8, "noise_consts": [1.0, 0.6, 1.4]}),
     "inline": lambda: _model_from({"model": {"inline": {
-        "rates": [-0.3, -2.0], "noise_consts": [0.5, 2.0]}}}, 0),
+        "rates": [-0.3, -2.0], "noise_consts": [0.5, 2.0]}}}),
 }
 
 
@@ -125,7 +125,7 @@ def test_q_ts_closed_form_matches_quadrature(name, s, t):
 
 def test_q_ts_closed_form_at_zero_rate():
     model = _model_from({"model": {"inline": {
-        "rates": [0.0, -1.0], "noise_consts": [1.5, 1.0]}}}, 0)
+        "rates": [0.0, -1.0], "noise_consts": [1.5, 1.0]}}})
     s, t = -0.4, 1.1
     q = np.diag(model.q_ts(s, t))
     assert q[0] == pytest.approx(1.5 ** 2 * (t - s), rel=1e-15)
@@ -332,7 +332,7 @@ def test_pst_contraction_keeps_the_masked_formula_on_a_kernel(noise):
     """V = Q_t^{-1/2} u Q_s^{1/2} with both roots zero over the kernel, bit
     for bit as the masked eigenvalue formula gives it."""
     model = _model_from({"model": {"inline": {"rates": [-1.0, -2.0, -0.5],
-                                              "noise_consts": noise}}}, 0)
+                                              "noise_consts": noise}}})
     s, t = 0.0, 0.7
     g_t, g_s = model.measure_at(t), model.measure_at(s)
     with np.errstate(divide="ignore"):

@@ -243,7 +243,7 @@ class TestConstantModels:
                       {"rate_const": -0.7, "noise_consts": [0.5, 1.5]}),
          [-0.7, -0.7], [0.5, 1.5]),
         (_model_from({"model": {"inline": {"rates": [-1.0, -2.0],
-                                           "noise_consts": [2.0, 1.0]}}}, 0),
+                                           "noise_consts": [2.0, 1.0]}}}),
          [-1.0, -2.0], [2.0, 1.0]),
     ], ids=["heat1d", "malliavin_const", "inline"])
     def test_decay_data_of_the_shared_constructor(self, model, decay, sups):
