@@ -208,7 +208,8 @@ def hermite_phi(n, xi):
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n > HERMITE_MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {n} exceeds the recurrence budget")
+        raise DegreeTooLarge(f"degree {n} exceeds the budget "
+                             f"HERMITE_MAX_DEGREE = {HERMITE_MAX_DEGREE}")
     xi = np.asarray(xi, dtype=float)
     row = _phi_table(xi.reshape(-1), n)[n].reshape(xi.shape)
     return row if row.ndim else float(row)
@@ -266,7 +267,8 @@ def _hermite_sum(gamma, terms, x):
         raise OffSupport("multi-index loads a kernel direction")
     top = int(alphas.max(initial=0))
     if top > HERMITE_MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {top} exceeds the recurrence budget")
+        raise DegreeTooLarge(f"degree {top} exceeds the budget "
+                             f"HERMITE_MAX_DEGREE = {HERMITE_MAX_DEGREE}")
     picks = alphas[:, loaded]
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1

@@ -22,7 +22,7 @@ from .evolution import (decay_ratio, hyper_threshold, mean_functional,
                         pst_apply, pst_contraction, pst_via_second_quant)
 from .gaussian import (SpectralGaussian, cm_norm, exp_functional, expect,
                        sqrt_apply, white_noise)
-from .numerics import QuadScheme, gh_nodes, gh_tensor, mc_estimate
+from .numerics import GH_MAX_NODES, QuadScheme, gh_nodes, gh_tensor, mc_estimate
 from .presets import _constant_model, build_preset
 from .secondquant import (CMContraction, degree_block, gamma_integral_apply,
                           gamma_series_apply, hs_norm_gamma, hyper_witness,
@@ -48,13 +48,35 @@ def _reject_unknown(cfg, allowed, where):
         _fail("unknown %s keys: %s" % (where, ", ".join(extras)))
 
 
+def _is_number(v):
+    # JSON booleans are ints to Python, and json.load reads NaN and Infinity
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 def _numbers(cfg, key, default, where):
     vals = cfg.get(key, default)
     if (not isinstance(vals, (list, tuple)) or not vals
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in vals)):
-        _fail("%s.%s must be a non-empty list of numbers" % (where, key))
+            or not all(_is_number(v) for v in vals)):
+        _fail("%s.%s must be a non-empty list of finite numbers" % (where, key))
     return [float(v) for v in vals]
+
+
+def _number(cfg, key, default, where):
+    if key not in cfg:
+        return default
+    if not _is_number(cfg[key]):
+        _fail("%s.%s must be a finite number" % (where, key))
+    return float(cfg[key])
+
+
+def _integer(cfg, key, default, where, lo=0, hi=None):
+    val = cfg.get(key, default)
+    if (not isinstance(val, int) or isinstance(val, bool) or val < lo
+            or (hi is not None and val > hi)):
+        span = ">= %d" % lo if hi is None else "in [%d, %d]" % (lo, hi)
+        _fail("%s.%s must be an integer %s" % (where, key, span))
+    return val
 
 
 def _load_config(path):
@@ -87,7 +109,13 @@ def _model_from(cfg):
             _fail("model.inline rates and noise_consts lengths differ")
         return _constant_model(rates, consts)
     params = _require_mapping(spec.get("params", {}), "model.params")
-    return build_preset(spec.get("preset", "diag_arctan"), params)
+    for key in params:
+        read = {"noise_consts": _numbers, "dim": _integer}.get(key, _number)
+        read(params, key, None, "model.params")
+    try:
+        return build_preset(spec.get("preset", "diag_arctan"), params)
+    except ValueError as exc:  # a parameter out of the preset's range
+        _fail(str(exc))
 
 
 def _sweep_from(cfg, with_p):
@@ -111,16 +139,15 @@ def _scheme_from(cfg, seed):
     spec = _require_mapping(spec, "scheme")
     _reject_unknown(spec, {"kind", "nodes", "samples", "tolerance"}, "scheme")
     kind = spec.get("kind")
-    try:
-        if kind == "gauss_hermite":
-            return QuadScheme.gauss_hermite(int(spec.get("nodes", 10)),
-                                            tolerance=spec.get("tolerance"))
-        if kind == "monte_carlo":
-            return QuadScheme.monte_carlo(int(spec.get("samples", 100000)),
-                                          seed=seed,
-                                          tolerance=spec.get("tolerance"))
-    except ValueError as exc:
-        _fail("invalid scheme: %s" % exc)
+    tolerance = _number(spec, "tolerance", None, "scheme")
+    if kind == "gauss_hermite":
+        return QuadScheme.gauss_hermite(
+            _integer(spec, "nodes", 10, "scheme", 1, GH_MAX_NODES),
+            tolerance=tolerance)
+    if kind == "monte_carlo":
+        return QuadScheme.monte_carlo(
+            _integer(spec, "samples", 100000, "scheme", 2), seed=seed,
+            tolerance=tolerance)
     _fail("scheme.kind must be gauss_hermite or monte_carlo")
 
 
@@ -130,12 +157,10 @@ def _function_from(cfg, dim):
     _reject_unknown(spec, {"kind", "index", "value", "powers"}, "f")
     kind = spec.get("kind")
     if kind == "constant":
-        value = float(spec.get("value", 1.0))
+        value = _number(spec, "value", 1.0, "f")
         return (lambda p: np.full(len(np.atleast_2d(p)), value)), 0
     if kind == "coordinate":
-        index = int(spec.get("index", 0))
-        if not 0 <= index < dim:
-            _fail("f.index out of range for dimension %d" % dim)
+        index = _integer(spec, "index", 0, "f", 0, dim - 1)
         return (lambda p: np.atleast_2d(p)[:, index]), 1
     if kind == "monomial":
         powers = spec.get("powers")
@@ -160,11 +185,14 @@ def _contractions_from(cfg):
         if "matrix" not in case:
             _fail("%s.matrix is required" % where)
         try:
-            matrix = np.asarray(case["matrix"], dtype=float)
-        except (TypeError, ValueError):
-            _fail("%s.matrix must be numeric" % where)
-        if matrix.ndim != 2:
-            _fail("%s.matrix must be two-dimensional" % where)
+            matrix = np.asarray(case["matrix"])
+        except ValueError:
+            _fail("%s.matrix rows differ in length" % where)
+        if (matrix.ndim != 2 or matrix.dtype.kind not in "iuf"
+                or not np.isfinite(matrix).all()):
+            _fail("%s.matrix must be a two-dimensional array of finite "
+                  "numbers" % where)
+        matrix = matrix.astype(float)
         mu = _numbers(case, "mu", [1.0] * matrix.shape[1], where)
         nu = _numbers(case, "nu", [1.0] * matrix.shape[0], where)
         try:
@@ -227,6 +255,8 @@ def _command(name, keys):
             try:
                 cfg = _load_config(config_path)
                 _reject_unknown(cfg, keys, "config")
+                if not isinstance(cfg.get("out", ""), str):
+                    _fail("config.out must be a path")
                 table = body(cfg, seed, out_path)
                 if table is not None:
                     _emit_csv(*table, out_path or cfg.get("out"))
@@ -476,9 +506,7 @@ def cmd_decay(cfg, seed, out_path):
 @_command("hs-table", {"model", "sweep", "contractions", "max_degree", "out"})
 def cmd_hs_table(cfg, seed, out_path):
     """Hilbert-Schmidt norms of quantized contractions, partial vs closed."""
-    max_degree = cfg.get("max_degree", 40)
-    if not isinstance(max_degree, int) or max_degree < 0:
-        _fail("max_degree must be a nonnegative integer")
+    max_degree = _integer(cfg, "max_degree", 40, "config")
     if "contractions" in cfg:
         cases = [("", "", t_op) for t_op in _contractions_from(cfg)]
     else:
@@ -501,12 +529,8 @@ def cmd_mehler_demo(cfg, seed, out_path):
     times = _numbers(cfg, "t", [0.1, 0.5, 1.0, 2.0], "config")
     if any(t < 0 for t in times):
         _fail("t values must be nonnegative")
-    points = cfg.get("points", 5)
-    nodes = cfg.get("nodes", 20)
-    if not isinstance(points, int) or points < 1:
-        _fail("points must be a positive integer")
-    if not isinstance(nodes, int) or not 1 <= nodes <= 128:
-        _fail("nodes must be an integer in [1, 128]")
+    points = _integer(cfg, "points", 5, "config", 1)
+    nodes = _integer(cfg, "nodes", 20, "config", 1, GH_MAX_NODES)
     gamma = SpectralGaussian(lam)
     f, degree = _function_from(cfg, gamma.dim)
     e = project(gamma, f, max(degree, 1), QuadScheme.gauss_hermite(

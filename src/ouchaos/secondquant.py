@@ -299,8 +299,8 @@ def _nested_rules(T, scheme=None, inner_scheme=None):
     inner = rule_size(inner_scheme, cols)
     if outer * inner > NESTED_MAX_EVALS:
         raise SchemeTooCoarse(
-            f"nested Mehler quadrature needs {outer} x {inner} evaluations "
-            f"of f, above the budget NESTED_MAX_EVALS = {NESTED_MAX_EVALS:.0e}")
+            f"nested Mehler quadrature of {outer} x {inner} evaluations of f "
+            f"exceeds the budget NESTED_MAX_EVALS = {NESTED_MAX_EVALS:.0e}")
     return a, cols, scheme, inner_scheme
 
 

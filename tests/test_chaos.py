@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -18,7 +19,9 @@ from ouchaos.errors import (DegreeTooLarge, OffSupport, SchemeTooCoarse,
                             SizeTooLarge)
 from ouchaos.gaussian import SpectralGaussian, expect, white_noise
 from ouchaos.numerics import QuadScheme, gauss_rule, gh_tensor
-from ouchaos.secondquant import CMContraction, gamma_matrix_element, permanent
+from ouchaos.secondquant import (CMContraction, degree_block,
+                                gamma_matrix_element, lq_norm_gamma,
+                                permanent)
 
 
 def test_multi_index_basics():
@@ -149,10 +152,24 @@ def test_expansion_lookup_checks_the_length():
         CMContraction.scalar(SpectralGaussian([1.0]), 0.5), (13,), (13,)),
      SizeTooLarge, "PERMANENT_MAX_SIZE = 12"),
     (lambda: gh_tensor(11, 5), SchemeTooCoarse, "_GRID_CAP = 4000000"),
+    (lambda: hermite_phi(61, 0.0), DegreeTooLarge, "HERMITE_MAX_DEGREE = 60"),
+    (lambda: phi_alpha(SpectralGaussian([1.0]), (61,), [0.0]), DegreeTooLarge,
+     "HERMITE_MAX_DEGREE = 60"),
+    (lambda: degree_block(CMContraction.scalar(SpectralGaussian([1.0] * 60),
+                                               0.5), 3),
+     SizeTooLarge, "BLOCK_MAX_ENTRIES = 4194304"),
+    (lambda: project(SpectralGaussian([1.0] * 20), lambda p: p[:, 0], 3,
+                     QuadScheme.monte_carlo(10 ** 6)),
+     SizeTooLarge, "PROJECT_MAX_PRODUCTS = 1e+09"),
+    (lambda: lq_norm_gamma(CMContraction.scalar(SpectralGaussian([1.0] * 5),
+                                                0.5),
+                           lambda p: p[:, 0], 2.0, QuadScheme.gauss_hermite(12)),
+     SchemeTooCoarse, "NESTED_MAX_EVALS = 1e+09"),
 ], ids=["sigma_class_count", "monomial_coeffs", "permanent",
-        "gamma_matrix_element", "gh_tensor"])
+        "gamma_matrix_element", "gh_tensor", "hermite_phi", "phi_alpha",
+        "degree_block", "project", "lq_norm_gamma"])
 def test_budget_refusals_name_their_constant(call, error, budget):
-    with pytest.raises(error, match=f"exceeds the budget {budget}"):
+    with pytest.raises(error, match=re.escape(f"exceeds the budget {budget}")):
         call()
 
 

@@ -272,6 +272,50 @@ class TestMehlerDemo:
         assert result.exit_code == 2
 
 
+HEAT1D = {"preset": "heat1d", "params": {"gamma_exp": 0.25, "dim": 3}}
+SHORT_SWEEP = {"s": [0.0], "t": [0.5]}
+ILL_TYPED_CONFIGS = {
+    "index_list": ("decay", {"sweep": SHORT_SWEEP,
+                             "f": {"kind": "coordinate", "index": [0]}}),
+    "samples_list": ("decay", {"sweep": SHORT_SWEEP, "scheme": {
+        "kind": "monte_carlo", "samples": [5]}}),
+    "tolerance_string": ("decay", {"sweep": SHORT_SWEEP, "scheme": {
+        "kind": "gauss_hermite", "tolerance": "x"}}),
+    "preset_param_list": ("hyper-scan", {"sweep": SHORT_SWEEP, "model": {
+        "preset": "diag_arctan", "params": {"c1": [1]}}}),
+    "samples_fraction": ("decay", {"sweep": SHORT_SWEEP, "scheme": {
+        "kind": "monte_carlo", "samples": 1000.7}}),
+    "dim_fraction": ("decay", {"sweep": SHORT_SWEEP, "model": {
+        "preset": "heat1d", "params": {"dim": 2.7}}}),
+    "max_degree_bool": ("hs-table", {"sweep": SHORT_SWEEP, "model": HEAT1D,
+                                     "max_degree": True}),
+    "points_bool": ("mehler-demo", {"t": [0.5], "points": True}),
+    "matrix_strings": ("hs-table", {"contractions": [
+        {"matrix": [["0.5", "0"], ["0", "0.5"]]}]}),
+    "t_infinity": ("decay", {"model": HEAT1D,
+                             "sweep": {"s": [0.0], "t": [math.inf]}}),
+    "rates_nan": ("decay", {"sweep": SHORT_SWEEP,
+                            "model": {"inline": {"rates": [math.nan]}}}),
+    "dim_zero": ("decay", {"sweep": SHORT_SWEEP, "model": {
+        "preset": "heat1d", "params": {"dim": 0}}}),
+    "gamma_exp_range": ("decay", {"sweep": SHORT_SWEEP, "model": {
+        "preset": "heat1d", "params": {"gamma_exp": 1.5}}}),
+    "out_list": ("hs-table", {"sweep": SHORT_SWEEP, "model": HEAT1D,
+                              "out": ["table.csv"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_TYPED_CONFIGS))
+def test_ill_typed_config_value_exits_two(name, runner, tmp_path):
+    """Wrong JSON types, booleans or fractions for integers, NaN and
+    Infinity, and preset parameters out of range are config errors."""
+    cmd, payload = ILL_TYPED_CONFIGS[name]
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    result = runner.invoke(main, [cmd, "--config", cfg])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.stderr
+
+
 class TestOutputFormat:
     def test_crlf_and_seventeen_digits(self, runner, tmp_path):
         cfg = write_config(tmp_path, "scan.json", {

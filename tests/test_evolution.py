@@ -8,7 +8,7 @@ from ouchaos import numerics
 from ouchaos.chaos import enumerate_up_to
 from ouchaos.cli import _model_from
 from ouchaos.errors import (HypothesisFailed, NoDecay, NotContraction,
-                            SchemeTooCoarse, SizeTooLarge)
+                            QuadratureFailure, SchemeTooCoarse, SizeTooLarge)
 from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
                                bignamini_check, decay_ratio, hyper_threshold,
                                mean_functional, pst_apply, pst_contraction,
@@ -582,3 +582,44 @@ def test_contraction_guard_fires_on_broken_model():
     model = OUModel(family, noise, mode_decay=[-0.3], mode_noise_sup=[1.0])
     with pytest.raises((NotContraction, ValueError)):
         pst_contraction(model, 0.0, 2.0)
+
+
+
+def adaptive_twin(name):
+    """A closed-form diagonal model and the same model whose rate integrals
+    EvolutionFamily.diagonal computes adaptively."""
+    if name == "constant":
+        exact = constant_model([-1.0, -2.5])
+        rates = [lambda t, lam=lam: np.full(np.shape(t), lam)
+                 for lam in (-1.0, -2.5)]
+    else:
+        exact = build_preset("diag_arctan", {"c1": 1.0, "c2": 2.0, "dim": 2})
+        rates = exact.family.rates
+    return exact, OUModel(EvolutionFamily.diagonal(rates), exact.noise,
+                          mode_decay=exact.mode_decay,
+                          mode_noise_sup=exact.mode_noise_sup,
+                          envelope=exact.envelope)
+
+
+# diag_arctan stays left of the kink of arctan|t| at 0; across it see the
+# xfail below
+@pytest.mark.parametrize("name, pairs, t", [
+    ("constant", [(0.0, 1.0), (-2.5, 0.4)], 0.7),
+    ("diag_arctan", [(-2.5, -0.4), (-1.0, 0.0)], -0.5),
+])
+def test_adaptive_rate_integrals_match_the_closed_form(name, pairs, t):
+    exact, adaptive = adaptive_twin(name)
+    for (s, r) in pairs:
+        assert np.diag(adaptive.q_ts(s, r)) == pytest.approx(
+            np.diag(exact.q_ts(s, r)), rel=1e-12)
+    assert adaptive.measure_at(t).eigenvalues == pytest.approx(
+        exact.measure_at(t).eigenvalues, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, raises=QuadratureFailure,
+                   reason="the per-s adaptive integrals of a kinked rate are "
+                          "too rough for the outer panel sweep")
+def test_adaptive_rate_integrals_across_the_kink_of_diag_arctan():
+    exact, adaptive = adaptive_twin("diag_arctan")
+    assert adaptive.measure_at(1.0).eigenvalues == pytest.approx(
+        exact.measure_at(1.0).eigenvalues, rel=1e-12)

@@ -144,6 +144,19 @@ def test_eval_batch_propagates_genuine_errors_from_the_first_call(error):
     assert calls == [5]
 
 
+def test_eval_batch_flattens_a_column_result_in_one_call():
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return (p[:, 0] * p[:, 1])[:, None]
+
+    pts = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+    out = eval_batch(f, pts)
+    assert out.shape == (3,) and calls == [3]
+    assert out.tolist() == [2.0, -3.0, 0.25]
+
+
 def test_eval_batch_lets_warnings_of_f_through():
     pts = np.array([[1.0], [-1.0]])
     with pytest.warns(RuntimeWarning):
