@@ -49,9 +49,10 @@ def _reject_unknown(cfg, allowed, where):
 
 
 def _is_number(v):
-    # JSON booleans are ints to Python, and json.load reads NaN and Infinity
+    # JSON booleans are ints to Python, and json.load reads NaN, Infinity
+    # and integers too large for a float; the comparison is exact
     return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
+            and abs(v) <= sys.float_info.max)
 
 
 def _numbers(cfg, key, default, where):

@@ -294,6 +294,8 @@ ILL_TYPED_CONFIGS = {
         {"matrix": [["0.5", "0"], ["0", "0.5"]]}]}),
     "t_infinity": ("decay", {"model": HEAT1D,
                              "sweep": {"s": [0.0], "t": [math.inf]}}),
+    "t_huge_integer": ("decay", {"model": HEAT1D,
+                                 "sweep": {"s": [0.0], "t": [10 ** 400]}}),
     "rates_nan": ("decay", {"sweep": SHORT_SWEEP,
                             "model": {"inline": {"rates": [math.nan]}}}),
     "dim_zero": ("decay", {"sweep": SHORT_SWEEP, "model": {
