@@ -298,8 +298,6 @@ def pst_apply(model, f, s, t, x, scheme=None):
     """
     if s > t:
         raise ValueError("need s <= t")
-    if scheme is None:
-        scheme = QuadScheme.default_for(model.dim)
     return gauss_expect(f, x @ model.u(t, s).T, model._q_root(s, t), scheme)
 
 
@@ -335,10 +333,7 @@ def hyper_threshold(model, s, t, p):
 
 def mean_functional(model, f, t, scheme=None):
     """m_t(f), the average of f against gamma_t."""
-    gamma_t = model.measure_at(t)
-    if scheme is None:
-        scheme = QuadScheme.default_for(model.dim)
-    return expect(gamma_t, f, scheme)
+    return expect(model.measure_at(t), f, scheme)
 
 
 def decay_ratio(model, f, p, s, t, scheme=None, degree=None):
@@ -362,8 +357,6 @@ def decay_ratio(model, f, p, s, t, scheme=None, degree=None):
     if p == 2 and degree is not None:
         return _chaos_decay_ratio(model, f, s, t, scheme, degree)
     contraction = pst_contraction(model, s, t)
-    if scheme is None:
-        scheme = QuadScheme.default_for(model.dim)
     _nested_rules(contraction, scheme)  # refuses before m_t evaluates f
     m_t = mean_functional(model, f, t, scheme)
 

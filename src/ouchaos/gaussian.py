@@ -172,8 +172,10 @@ def cameron_martin_density(gamma, h, x):
     return exp_functional(gamma, pinv_sqrt_apply(gamma, h), x)
 
 
-def expect(gamma, f, scheme):
-    """Integral of f against gamma using the given scheme."""
+def expect(gamma, f, scheme=None):
+    """Integral of f against gamma using the given scheme; f is called on
+    batches of points only, and None means ``QuadScheme.default_for``
+    of gamma's dimension (see :func:`numerics.gauss_expect`)."""
     return gauss_expect(f, np.zeros(gamma.dim), gamma.sqrt_cols(), scheme)
 
 

@@ -154,27 +154,18 @@ def gh_tensor(dim, n):
 
 
 def eval_batch(f, pts):
-    """Evaluate f on a batch of points, accepting both vectorized callables
-    (f(pts) -> (m,)) and scalar ones (f(p) -> float).
-
-    f is called point by point only when the batch call returns the wrong
-    shape or raises TypeError, IndexError or a plain ValueError, the ways a
-    scalar callable fails on a batch; every other exception, the library's
-    typed errors included, propagates from the batch call.
+    """f on a batch of points (m, d), from the one call f(pts), which must
+    return m values, shape (m,) or (m, 1); any other shape raises
+    ValueError naming it, and every exception of f propagates.  A one-point
+    g is adapted by ``np.vectorize(g, signature="(n)->()")``; no shape check
+    can catch g itself at m = d, where its d values pass for m values.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    m = len(pts)
-    try:
-        out = np.asarray(f(pts), dtype=float)
-    except Exception as exc:
-        if not (isinstance(exc, (TypeError, IndexError)) or type(exc) is ValueError):
-            raise
-        out = None
-    if out is not None and out.shape == (m,):
-        return out
-    if out is not None and out.shape == (m, 1):
-        return out[:, 0]
-    return np.array([float(f(p)) for p in pts], dtype=float)
+    out = np.asarray(f(pts), dtype=float)
+    if out.shape not in ((len(pts),), (len(pts), 1)):
+        raise ValueError(f"f returned shape {out.shape} for {len(pts)} "
+                         "points, not one value per point")
+    return out.reshape(-1)
 
 
 def _philox_batches(seed, n):
@@ -342,28 +333,33 @@ def _gauss_average(f, means, pieces, scheme):
     return out, err
 
 
-def gauss_expect(f, mean, cols, scheme):
+def gauss_expect(f, mean, cols, scheme=None):
     """E[f(mean + cols @ xi)] with xi a standard normal vector, for one
     mean (d,), giving a float, or each row of a batch (m, d), giving (m,).
 
     ``cols`` is a d x m factor of the covariance (cov = cols @ cols.T);
-    columns that vanish are pruned before building the grid.  Gauss-Hermite
-    mode trusts the rule (exact for polynomial f of degree < 2*nodes);
-    Monte Carlo mode enforces ``scheme.tolerance`` on each standard error
-    when a tolerance is set.
+    columns that vanish are pruned before building the grid.  f is called
+    on batches of points only, as :func:`eval_batch` states.  ``scheme``
+    None means ``QuadScheme.default_for(d)``.  Gauss-Hermite mode trusts
+    the rule (exact for polynomial f of degree < 2*nodes); Monte Carlo
+    mode enforces ``scheme.tolerance`` on each standard error when a
+    tolerance is set.
     """
     return gauss_expect_err(f, mean, cols, scheme)[0]
 
 
-def gauss_expect_err(f, mean, cols, scheme):
-    """Like :func:`gauss_expect` but also returns the error estimate
-    (zero in quadrature mode, the standard error in Monte Carlo mode)."""
+def gauss_expect_err(f, mean, cols, scheme=None):
+    """Like :func:`gauss_expect`, with the same batch contract for f and the
+    same default scheme, but also returns the error estimate (zero in
+    quadrature mode, the standard error in Monte Carlo mode)."""
     mean = np.asarray(mean, dtype=float)
     cols = np.atleast_2d(np.asarray(cols, dtype=float))
     if mean.ndim not in (1, 2):
         raise ValueError("mean must be one point (d,) or a batch (m, d)")
     if cols.shape[0] != mean.shape[-1]:
         raise ValueError("cols must have one row per coordinate of mean")
+    if scheme is None:
+        scheme = QuadScheme.default_for(mean.shape[-1])
     value, err = _gauss_average(f, np.atleast_2d(mean),
                                 _rule_batches(scheme, cols), scheme)
     if mean.ndim == 2:

@@ -223,13 +223,10 @@ def gamma_integral_apply(T, f, x, scheme=None):
 
     x is one point (d,), giving a float, or a batch (m, d), giving (m,);
     the rule is built once for the whole batch.  Degree-preserving and
-    mass-preserving; agrees with the series form on chaos expansions.  The
-    scheme defaults to tensor Gauss-Hermite sized for moderate polynomial
-    degrees.
+    mass-preserving; agrees with the series form on chaos expansions.
+    scheme None is resolved by :func:`gauss_expect`.
     """
     a, cols = mehler_factors(T)
-    if scheme is None:
-        scheme = QuadScheme.default_for(T.mu.dim)
     return gauss_expect(f, x @ a.T, cols, scheme)
 
 

@@ -123,15 +123,25 @@ def test_gauss_expect_deterministic_point_mass():
     assert val == pytest.approx(5.0)
 
 
-def test_gauss_expect_accepts_scalar_callable():
+def test_gauss_expect_takes_a_one_point_callable_only_through_vectorize():
+    def g(p):
+        return float(p[0]) ** 2
+
     scheme = QuadScheme.gauss_hermite(4)
-    val = gauss_expect(lambda p: float(p[0]) ** 2, np.zeros(1),
+    with pytest.raises(TypeError):
+        gauss_expect(g, np.zeros(1), np.eye(1), scheme)
+    val = gauss_expect(np.vectorize(g, signature="(n)->()"), np.zeros(1),
                        np.eye(1), scheme)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
+# the last three are the ways a one-point f fails on a batch; none of them
+# makes eval_batch call f again point by point
 @pytest.mark.parametrize("error", [RuntimeError("broken f"),
-                                   SchemeTooCoarse("inner scheme")])
+                                   SchemeTooCoarse("inner scheme"),
+                                   TypeError("only 0-dimensional arrays"),
+                                   IndexError("index 2 is out of bounds"),
+                                   ValueError("truth value is ambiguous")])
 def test_eval_batch_propagates_genuine_errors_from_the_first_call(error):
     calls = []
 
@@ -140,6 +150,19 @@ def test_eval_batch_propagates_genuine_errors_from_the_first_call(error):
         raise error
 
     with pytest.raises(type(error)):
+        eval_batch(f, np.zeros((5, 2)))
+    assert calls == [5]
+
+
+def test_eval_batch_names_a_result_of_the_wrong_shape():
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        return p[0]
+
+    # a one-point f returns d = 2 values for a batch of 5 points
+    with pytest.raises(ValueError, match=r"shape \(2,\) for 5 points"):
         eval_batch(f, np.zeros((5, 2)))
     assert calls == [5]
 
