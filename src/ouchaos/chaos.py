@@ -349,11 +349,17 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     ||f||^2 - sum c_alpha^2 is computed on the same grid and must stay below
     the scheme tolerance (default 1e-9), otherwise SchemeTooCoarse is
     raised; the residual is stored on the returned expansion either way.
+    No standard error is formed for the coefficients, so a Monte Carlo
+    scheme with a tolerance raises ValueError without expect_polynomial.
     """
     live = np.flatnonzero(gamma.support)
     if scheme is None:
         scheme = QuadScheme.default_for(len(live), max_degree)
     sampled = scheme.kind == "monte_carlo"
+    if sampled and scheme.tolerance is not None and not expect_polynomial:
+        raise ValueError("a Monte Carlo tolerance bounds only the residual "
+                         "of expect_polynomial=True; the coefficients have "
+                         "no standard error to hold to it")
     if sampled:
         products = math.comb(max_degree + len(live), max_degree) * scheme.samples
         if products > PROJECT_MAX_PRODUCTS:

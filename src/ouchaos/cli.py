@@ -141,14 +141,18 @@ def _scheme_from(cfg, seed):
     _reject_unknown(spec, {"kind", "nodes", "samples", "tolerance"}, "scheme")
     kind = spec.get("kind")
     tolerance = _number(spec, "tolerance", None, "scheme")
+    if tolerance is not None and tolerance <= 0:
+        _fail("scheme.tolerance must be > 0")
     if kind == "gauss_hermite":
         return QuadScheme.gauss_hermite(
             _integer(spec, "nodes", 10, "scheme", 1, GH_MAX_NODES),
             tolerance=tolerance)
     if kind == "monte_carlo":
+        if tolerance is not None:
+            # the chaos projection of decay forms no Monte Carlo standard error
+            _fail("scheme.tolerance is not supported with monte_carlo")
         return QuadScheme.monte_carlo(
-            _integer(spec, "samples", 100000, "scheme", 2), seed=seed,
-            tolerance=tolerance)
+            _integer(spec, "samples", 100000, "scheme", 2), seed=seed)
     _fail("scheme.kind must be gauss_hermite or monte_carlo")
 
 

@@ -59,8 +59,10 @@ class EvolutionFamily:
     @classmethod
     def diagonal(cls, rates, rate_integrals=None):
         """Family diag(exp(int_s^t a_k)).  rate_integrals[k](s, t) must return
-        int_s^t a_k and accept array-valued s; without them the integrals are
-        computed adaptively per call (correct but slow)."""
+        int_s^t a_k and accept array-valued s.  Without them each integral
+        is refined by panel quadrature per s, which is slow, and across a
+        kink of a_k (arctan|t|) the covariance sweep over them raises
+        QuadratureFailure or is off by ~1e-7: give them for such rates."""
         return cls(None, len(rates), rates=list(rates),
                    rate_integral=None if rate_integrals is None
                    else _stacked(rate_integrals))

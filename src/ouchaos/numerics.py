@@ -41,9 +41,9 @@ class QuadScheme:
 
     kind is ``tensor_gauss_hermite`` (uses ``nodes``) or ``monte_carlo``
     (uses ``samples`` and ``seed``).  ``tolerance`` is optional: when set,
-    Monte Carlo estimates raise :class:`SchemeTooCoarse` if the standard
-    error exceeds it, and chaos projections use it to validate polynomial
-    residuals.
+    it must be a finite number > 0; Monte Carlo estimates raise
+    :class:`SchemeTooCoarse` if the standard error exceeds it, and chaos
+    projections use it to validate polynomial residuals.
     """
 
     kind: str
@@ -59,6 +59,9 @@ class QuadScheme:
             raise ValueError("tensor_gauss_hermite needs 1 <= nodes <= 128")
         if self.kind == "monte_carlo" and self.samples < 2:
             raise ValueError("monte_carlo needs at least 2 samples")
+        if self.tolerance is not None and not 0.0 < self.tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be a finite number > 0, not {self.tolerance!r}")
 
     @classmethod
     def gauss_hermite(cls, nodes, tolerance=None):

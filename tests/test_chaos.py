@@ -263,6 +263,20 @@ def test_project_monte_carlo_agrees():
     assert e_mc[(2,)] == pytest.approx(math.sqrt(2.0), abs=0.02)
 
 
+def test_project_refuses_a_monte_carlo_tolerance_it_cannot_hold():
+    g = SpectralGaussian([1.0])
+    f = lambda p: p[:, 0] ** 2
+    scheme = QuadScheme.monte_carlo(2000, seed=5, tolerance=1e-12)
+    with pytest.raises(ValueError, match="Monte Carlo tolerance"):
+        project(g, f, 2, scheme)
+    # with expect_polynomial the tolerance bounds the Parseval residual
+    with pytest.raises(SchemeTooCoarse, match="residual"):
+        project(g, f, 1, scheme, expect_polynomial=True)
+    loose = QuadScheme.monte_carlo(2000, seed=5, tolerance=1e-6)
+    e = project(g, f, 2, loose, expect_polynomial=True)
+    assert e.residual <= 1e-3
+
+
 def test_project_refuses_an_oversized_grid_before_enumerating():
     # 5^60 grid points; enumerating the 39 711 indices of degree <= 3 in 60
     # coordinates alone would take over a second

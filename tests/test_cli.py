@@ -304,13 +304,23 @@ ILL_TYPED_CONFIGS = {
         "preset": "heat1d", "params": {"gamma_exp": 1.5}}}),
     "out_list": ("hs-table", {"sweep": SHORT_SWEEP, "model": HEAT1D,
                               "out": ["table.csv"]}),
+    "tolerance_negative": ("decay", {"sweep": SHORT_SWEEP, "scheme": {
+        "kind": "gauss_hermite", "nodes": 6, "tolerance": -1}}),
+    "tolerance_zero": ("decay", {"sweep": SHORT_SWEEP, "scheme": {
+        "kind": "gauss_hermite", "tolerance": 0}}),
+    "tolerance_monte_carlo_negative": ("decay", {"sweep": SHORT_SWEEP, "scheme": {
+        "kind": "monte_carlo", "samples": 2000, "tolerance": -1}}),
+    # decay's chaos projection forms no Monte Carlo standard error to hold
+    "tolerance_monte_carlo": ("decay", {"sweep": SHORT_SWEEP, "scheme": {
+        "kind": "monte_carlo", "samples": 2000, "tolerance": 1e-12}}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ILL_TYPED_CONFIGS))
 def test_ill_typed_config_value_exits_two(name, runner, tmp_path):
     """Wrong JSON types, booleans or fractions for integers, NaN and
-    Infinity, and preset parameters out of range are config errors."""
+    Infinity, preset parameters out of range, a tolerance <= 0 and a
+    tolerance under monte_carlo are config errors."""
     cmd, payload = ILL_TYPED_CONFIGS[name]
     cfg = write_config(tmp_path, "cfg.json", payload)
     result = runner.invoke(main, [cmd, "--config", cfg])

@@ -99,6 +99,14 @@ def test_scheme_validation():
         QuadScheme.monte_carlo(1)
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
+def test_scheme_refuses_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+        QuadScheme.monte_carlo(10, tolerance=tolerance)
+    with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+        QuadScheme.gauss_hermite(4, tolerance=tolerance)
+
+
 def test_gauss_expect_quadratic_exact():
     # E[(mu + sqrt(lam) xi)^2] = mu^2 + lam, exact at 2 nodes
     scheme = QuadScheme.gauss_hermite(2)
