@@ -272,9 +272,6 @@ def test_project_refuses_a_monte_carlo_tolerance_it_cannot_hold():
     # with expect_polynomial the tolerance bounds the Parseval residual
     with pytest.raises(SchemeTooCoarse, match="residual"):
         project(g, f, 1, scheme, expect_polynomial=True)
-    loose = QuadScheme.monte_carlo(2000, seed=5, tolerance=1e-6)
-    e = project(g, f, 2, loose, expect_polynomial=True)
-    assert e.residual <= 1e-3
 
 
 def test_project_refuses_an_oversized_grid_before_enumerating():
