@@ -33,6 +33,8 @@ _GRID_CAP = 4_000_000
 _MC_BATCH = 1 << 16
 # Monte Carlo rules are streamed in pieces of this many points; divides _MC_BATCH
 _MC_PIECE = 1 << 13
+# left edges of a panel's two halves, in units of the half-width
+_HALVES = np.array([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -398,7 +400,7 @@ def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):
     lo, width = np.array([a]), np.array([b - a])
     coarse, halves = sums[:1], sums[None, 1:]
     for level in range(max_refine + 1):
-        fine = halves.sum(axis=1)
+        fine = halves[:, 0] + halves[:, 1]
         err = np.abs(coarse - fine).reshape(len(lo), -1).sum(axis=1)
         result = fine.sum(axis=0)
         budget = rtol * max(1.0, float(np.sum(np.abs(result))))
@@ -408,20 +410,18 @@ def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):
             break
         split = err > budget / len(lo)
         # a split panel's halves become panels whose own value is known
-        child_lo = np.stack([lo[split], lo[split] + 0.5 * width[split]],
-                            axis=1).reshape(-1)
-        child_width = np.repeat(0.5 * width[split], 2)
-        quarter = np.repeat(0.5 * child_width, 2)
-        quarter_lo = np.stack([child_lo, child_lo + 0.5 * child_width],
-                              axis=1).reshape(-1)
-        child_halves = _panel_sums(f, quarter_lo, quarter, xg, wg)
+        half = 0.5 * width[split]
+        child_lo = lo[split, None] + half[:, None] * _HALVES
+        quarter_lo = child_lo[:, :, None] + (0.5 * half)[:, None, None] * _HALVES
+        child_halves = _panel_sums(f, quarter_lo.reshape(-1),
+                                   np.repeat(0.5 * half, 4), xg, wg)
         keep = ~split
-        lo = np.concatenate([lo[keep], child_lo])
-        width = np.concatenate([width[keep], child_width])
+        lo = np.concatenate([lo[keep], child_lo.reshape(-1)])
+        width = np.concatenate([width[keep], np.repeat(half, 2)])
         coarse = np.concatenate([coarse[keep],
                                  halves[split].reshape((-1,) + halves.shape[2:])])
         halves = np.concatenate([halves[keep], child_halves.reshape(
-            (len(child_lo), 2) + child_halves.shape[1:])])
+            (2 * len(half), 2) + child_halves.shape[1:])])
     raise QuadratureFailure(
         f"panel integration on [{a}, {b}] did not converge in {max_refine} refinements")
 
