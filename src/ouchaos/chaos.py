@@ -346,9 +346,12 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     drawn or enumerated SizeTooLarge is raised when C(max_degree + L, L)
     indices on L supported axes times the samples exceed
     PROJECT_MAX_PRODUCTS.  With expect_polynomial=True the Parseval residual
-    ||f||^2 - sum c_alpha^2 is computed on the same grid and must stay below
-    the scheme tolerance (default 1e-9), otherwise SchemeTooCoarse is
-    raised; the residual is stored on the returned expansion either way.
+    ||f||^2 - sum c_alpha^2 is computed on the same grid and must stay within
+    the scheme tolerance (default 1e-9) of 0 on either side, times
+    max(1, ||f||^2), otherwise SchemeTooCoarse is raised: a negative one
+    means the coefficients carry more mass than f, which sampling error
+    gives and no projection does.  Its square root, 0 for a negative one,
+    is stored on the returned expansion either way.
     No standard error is formed for the coefficients, so a Monte Carlo
     scheme with a tolerance raises ValueError without expect_polynomial.
     """
@@ -401,9 +404,14 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
         # tolerance applies to the Parseval mass mismatch; the norm itself is
         # a square root of a float cancellation and cannot do better
         tol = scheme.tolerance if scheme.tolerance is not None else 1e-9
-        if residual_sq > tol * max(1.0, sq_mass):
+        budget = tol * max(1.0, sq_mass)
+        if residual_sq > budget:
             raise SchemeTooCoarse(
                 f"polynomial reconstruction residual {residual:.3e} above budget")
+        if residual_sq < -budget:
+            raise SchemeTooCoarse(
+                f"Parseval residual ||f||^2 - sum c^2 = {residual_sq:.3e} "
+                f"below -{budget:.3e}: the coefficients carry more mass than f")
     return ChaosExpansion(gamma, max_degree, coeffs, residual=residual)
 
 

@@ -147,6 +147,17 @@ def _stacked(per_mode):
     return call
 
 
+def _graded_breaks(s, t):
+    """The points t - 2^k, k = 0, 1, ..., strictly inside (s, t), in
+    increasing order."""
+    breaks, edge, step = [], t, 1.0
+    while s < t - step < edge:
+        edge = t - step
+        breaks.append(edge)
+        step *= 2.0
+    return breaks[::-1]
+
+
 def _adaptive_integral(rate):
     """int_s^t a by panel quadrature, one s at a time."""
     def a(r):
@@ -195,9 +206,10 @@ class OUModel:
 
     # -- covariance integrals ------------------------------------------------
 
-    def _q_diag(self, s, t):
+    def _q_diag(self, s, t, breaks):
         """Per-mode q_k(t,s) for diagonal models: in closed form for constant
-        rates and noise, else one vector-valued panel sweep."""
+        rates and noise, else one vector-valued panel sweep from the
+        starting panels cut at ``breaks``."""
         lam, b = self.family.constants, self.noise.constants
         if lam is not None and b is not None:
             # b^2 int_s^t exp(2 lam (t-r)) dr, which is b^2 (t-s) at lam = 0
@@ -211,9 +223,9 @@ class OUModel:
             noise = self.noise.diag_values(r)                # (m, d)
             return np.exp(2.0 * growth) * noise ** 2
         return panel_integrate(integrand, s, t, max_refine=PANEL_MAX_REFINE,
-                               rtol=TRACE_TOL)
+                               rtol=TRACE_TOL, breaks=breaks)
 
-    def _q_dense(self, s, t):
+    def _q_dense(self, s, t, breaks):
         def integrand(r_nodes):
             out = np.empty((len(r_nodes), self.dim, self.dim))
             for i, r in enumerate(r_nodes):
@@ -222,17 +234,22 @@ class OUModel:
                 out[i] = ur @ br @ br.T @ ur.T
             return out
         return panel_integrate(integrand, s, t, max_refine=PANEL_MAX_REFINE,
-                               rtol=TRACE_TOL)
+                               rtol=TRACE_TOL, breaks=breaks)
 
     @_kept
     def q_ts(self, s, t):
         """Covariance of the transition kernel on [s, t]; symmetric PSD and
-        read-only, since it is kept per (s, t)."""
+        read-only, since it is kept per (s, t).
+
+        A panel sweep starts from [s, t] cut at the points t - 2^k,
+        k = 0, 1, ..., inside it: the integrand decays exponentially away
+        from t, and these are the cuts the tail certificate climbs."""
         if s > t:
             raise ValueError("need s <= t")
+        breaks = _graded_breaks(s, t)
         if self.is_diagonal:
-            return np.diag(self._q_diag(s, t))
-        q = self._q_dense(s, t)
+            return np.diag(self._q_diag(s, t, breaks))
+        q = self._q_dense(s, t, breaks)
         return 0.5 * (q + q.T)
 
     @_kept
@@ -259,16 +276,22 @@ class OUModel:
                      / (2.0 * abs(self.lambda0)))
 
     @_kept
-    def q_t_inf(self, t, tol=1e-10):
-        """Stationary covariance Q(t, -inf) and its certified trace tail < tol."""
+    def _tail_cut(self, tol):
+        """The certified cut (delta, cert) with cert < tol: the first delta
+        in 1, 2, 4, ... whose tail certificate is below tol, kept per tol
+        since it does not depend on t."""
         delta = 1.0
         for _ in range(200):
             cert = self._tail_certificate(delta)
             if cert < tol:
-                break
+                return delta, cert
             delta *= 2.0
-        else:
-            raise NoDecay("tail certificate did not reach tolerance")
+        raise NoDecay("tail certificate did not reach tolerance")
+
+    @_kept
+    def q_t_inf(self, t, tol=1e-10):
+        """Stationary covariance Q(t, -inf) and its certified trace tail < tol."""
+        delta, cert = self._tail_cut(tol)
         return self.q_ts(t - delta, t), cert
 
     @_kept

@@ -372,33 +372,42 @@ def gauss_expect_err(f, mean, cols, scheme=None):
     return float(value[0]), float(err[0])
 
 
-def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10):
+def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10, breaks=()):
     """Composite Gauss-Legendre integral of a vector/matrix-valued function,
     refined locally.
 
     f must map an array of nodes (m,) to an array (m, ...) of integrand
-    values.  Starting from the single panel [a, b], each panel's
+    values.  The starting panels are [a, b] cut at ``breaks``, sorted
+    points strictly inside (a, b) (ValueError otherwise); the first call of
+    f evaluates every starting panel and its two halves.  Each panel's
     ``order``-point value is compared with the sum over its two halves, and
     the halves are kept as its integral.  Once the differences add up to no
     more than the error budget ``rtol * max(1, mass)``, mass being the L1
     mass of the result, the sum is returned; until then every panel whose
-    difference exceeds its equal share of the budget is bisected, the others
-    stay as they are, and the new panels of one level are evaluated in a
-    single call of f.  A kink thus costs a few panels per level near it
-    instead of doubling all of them.  Raises :class:`QuadratureFailure` when
-    ``max_refine`` bisection levels do not meet the budget.
+    difference exceeds its equal share of the one budget is bisected, the
+    others stay as they are, and the new panels of one level are evaluated
+    in a single call of f.  A kink thus costs a few panels per level near it
+    instead of doubling all of them, and a break placed on it costs none.
+    Raises :class:`QuadratureFailure` when ``max_refine`` bisection levels
+    do not meet the budget.
     """
     if b < a:
         raise ValueError("integration interval is reversed")
+    edges = np.array([a, *breaks, b], dtype=float)
+    width = np.diff(edges)
+    if len(edges) > 2 and not np.all(width > 0.0):
+        raise ValueError("breaks must be sorted, distinct and strictly inside (a, b)")
     if b == a:
         probe = np.asarray(f(np.array([a], dtype=float)), dtype=float)
         return np.zeros(probe.shape[1:])
     xg, wg = _legendre_rule(order)
-    half = 0.5 * (b - a)
-    sums = _panel_sums(f, np.array([a, a, a + half]),
-                       np.array([b - a, half, half]), xg, wg)
-    lo, width = np.array([a]), np.array([b - a])
-    coarse, halves = sums[:1], sums[None, 1:]
+    lo = edges[:-1]
+    half = 0.5 * width
+    halves_lo = (lo[:, None] + half[:, None] * _HALVES).reshape(-1)
+    sums = _panel_sums(f, np.concatenate([lo, halves_lo]),
+                       np.concatenate([width, np.repeat(half, 2)]), xg, wg)
+    coarse = sums[:len(lo)]
+    halves = sums[len(lo):].reshape((len(lo), 2) + sums.shape[1:])
     for level in range(max_refine + 1):
         fine = halves[:, 0] + halves[:, 1]
         err = np.abs(coarse - fine).reshape(len(lo), -1).sum(axis=1)

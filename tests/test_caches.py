@@ -55,6 +55,7 @@ KEPT_SAMPLES = {
     "evolution.OUModel.q_ts": (heat_model, [(0, 1), (0.0, 0.5)]),
     "evolution.OUModel._q_root": (heat_model, [(0.0, 0.5)]),
     "evolution.OUModel.q_t_inf": (heat_model, [(1.0,), (1.0, 1e-6)]),
+    "evolution.OUModel._tail_cut": (heat_model, [(1e-10,), (1e-6,)]),
     "evolution.OUModel.measure_at": (heat_model, [(1,)]),
     "evolution.pst_contraction": (heat_model, [(0.0, 0.5), (0.5, 0.5)]),
     "secondquant.CMContraction._decomposition": (contraction, [()]),
@@ -287,19 +288,23 @@ def test_cached_covariances_cannot_be_overwritten():
     assert pst_apply(model, f, 0.0, 1.0, x) == pst_apply(fresh, f, 0.0, 1.0, x)
 
 
-def test_certificate_loop_runs_once_per_time(monkeypatch):
+def test_certificate_loop_runs_once_per_model_and_tolerance(monkeypatch):
     loops = []
     real = evolution.OUModel._tail_certificate
 
     def counting(self, delta):
-        if delta == 1.0:  # each loop of q_t_inf starts at delta = 1
+        if delta == 1.0:  # each loop of the tail cut starts at delta = 1
             loops.append(delta)
         return real(self, delta)
 
     monkeypatch.setattr(evolution.OUModel, "_tail_certificate", counting)
     model = heat_model()
     f = lambda p: p[:, 0] * p[:, 1] - p[:, 2]
+    # Q(t, -inf) at the two times 0 and 0.5 share one cut
     pst_contraction(model, 0.0, 0.5)
     model.q_t_inf(0.5)
     decay_ratio(model, f, 2.0, 0.0, 0.5, degree=2)
+    assert len(loops) == 1
+    model.q_t_inf(0.5, 1e-6)
+    model.q_t_inf(1.0, 1e-6)
     assert len(loops) == 2

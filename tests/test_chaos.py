@@ -274,6 +274,19 @@ def test_project_refuses_a_monte_carlo_tolerance_it_cannot_hold():
         project(g, f, 1, scheme, expect_polynomial=True)
 
 
+def test_project_refuses_a_negative_parseval_residual():
+    # 2 000 draws give c_2 = 1.676 where sqrt(2) = 1.414 is right: the
+    # coefficients carry more mass than f, ||f||^2 - sum c^2 = -0.49
+    g = SpectralGaussian([1.0])
+    scheme = QuadScheme.monte_carlo(2000, seed=5, tolerance=1e-6)
+    with pytest.raises(SchemeTooCoarse, match="more mass than f"):
+        project(g, lambda p: p[:, 0] ** 2, 2, scheme, expect_polynomial=True)
+    # without expect_polynomial the stored residual stays the clamped root
+    e = project(g, lambda p: p[:, 0] ** 2, 2, QuadScheme.monte_carlo(2000, seed=5))
+    assert e[(2,)] == pytest.approx(1.676, abs=1e-3)
+    assert e.residual == 0.0
+
+
 def test_project_refuses_an_oversized_grid_before_enumerating():
     # 5^60 grid points; enumerating the 39 711 indices of degree <= 3 in 60
     # coordinates alone would take over a second

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ouchaos import numerics
+from ouchaos import evolution, numerics
 from ouchaos.chaos import enumerate_up_to
 from ouchaos.cli import _model_from
 from ouchaos.errors import (HypothesisFailed, NoDecay, NotContraction,
@@ -554,6 +554,33 @@ def test_q_t_inf_across_the_arctan_kink_matches_split_reference():
         nodes = (mid[:, None] + half[:, None] * x).reshape(-1)
         ref += (half[:, None] * w).reshape(-1) @ integrand(nodes)
     assert np.diag(q) == pytest.approx(ref, rel=0, abs=1e-10)
+
+
+def test_covariance_sweeps_start_from_a_mesh_graded_toward_t(monkeypatch):
+    model = build_preset("diag_arctan", {"c1": 1.0, "c2": 2.0, "dim": 3})
+    sweeps = []
+    real = evolution.panel_integrate
+
+    def counting(f, *args, **kwargs):
+        calls = []
+        sweeps.append((kwargs.get("breaks", ()), calls))
+
+        def counted(r):
+            calls.append(len(r))
+            return f(r)
+        return real(counted, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "panel_integrate", counting)
+    model.q_t_inf(0.0)
+    model.q_t_inf(0.4)
+    model.q_ts(0.0, 0.9)
+    (breaks_0, calls_0), (breaks_04, calls_04), (breaks_short, _) = sweeps
+    # the tail cut is delta = 16, and the sweep starts cut at t - 2^k
+    assert list(breaks_0) == [-8.0, -4.0, -2.0, -1.0]
+    assert list(breaks_04) == [0.4 - 8.0, 0.4 - 4.0, 0.4 - 2.0, 0.4 - 1.0]
+    assert len(calls_0) <= 3 and len(calls_04) <= 8
+    # an interval of length <= 1 starts as one panel
+    assert len(breaks_short) == 0
 
 
 def test_bignamini_constant_model():

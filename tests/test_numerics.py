@@ -510,6 +510,54 @@ def test_panel_integrate_evaluates_each_level_in_one_call():
     assert calls[0] == 3 * 8
 
 
+@pytest.mark.parametrize("order", [4, 8])
+@pytest.mark.parametrize("breaks", [(), (0.3,), (-0.5, 0.3, 0.6)],
+                         ids=["none", "one", "three"])
+def test_panel_integrate_first_call_holds_every_starting_panel(order, breaks):
+    calls = []
+
+    def f(r):
+        calls.append(len(r))
+        return np.abs(r - 0.3)
+
+    panel_integrate(f, -1.0, 1.0, order=order, breaks=breaks)
+    # each starting panel and its two halves
+    assert calls[0] == 3 * order * (len(breaks) + 1)
+
+
+def test_panel_integrate_with_a_break_on_the_kink_is_exact_at_once():
+    calls = []
+
+    def f(r):
+        calls.append(len(r))
+        return np.abs(r - 0.3)
+
+    val = panel_integrate(f, -1.0, 1.0, breaks=(0.3,))
+    assert len(calls) == 1
+    assert val == pytest.approx((1.3 ** 2 + 0.7 ** 2) / 2.0, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("a, b, breaks", [
+    (-1.0, 1.0, (0.5, -0.5)),
+    (-1.0, 1.0, (0.2, 0.2)),
+    (-1.0, 1.0, (-1.0,)),
+    (-1.0, 1.0, (1.0,)),
+    (-1.0, 1.0, (1.5,)),
+    (-1.0, 1.0, (math.nan,)),
+    (1.0, 1.0, (1.0,)),
+], ids=["unsorted", "repeated", "at-a", "at-b", "outside", "nan", "empty"])
+def test_panel_integrate_refuses_breaks_not_sorted_strictly_inside(a, b, breaks):
+    calls = []
+
+    def f(r):
+        calls.append(len(r))
+        return r
+
+    with pytest.raises(ValueError, match="breaks"):
+        panel_integrate(f, a, b, breaks=breaks)
+    assert calls == []
+
+
 def test_panel_integrate_reuses_a_read_only_legendre_rule():
     def f(r):
         return np.abs(r - 0.3)[:, None] * np.array([1.0, np.pi])
