@@ -412,7 +412,7 @@ def panel_integrate(f, a, b, order=8, max_refine=14, rtol=1e-10, breaks=()):
         fine = halves[:, 0] + halves[:, 1]
         err = np.abs(coarse - fine).reshape(len(lo), -1).sum(axis=1)
         result = fine.sum(axis=0)
-        budget = rtol * max(1.0, float(np.sum(np.abs(result))))
+        budget = rtol * max(1.0, float(np.abs(result).sum()))
         if err.sum() <= budget:
             return result
         if level == max_refine:
