@@ -147,15 +147,15 @@ def _stacked(per_mode):
     return call
 
 
-def _graded_breaks(s, t):
-    """The points t - 2^k, k = 0, 1, ..., strictly inside (s, t), in
-    increasing order."""
-    breaks, edge, step = [], t, 1.0
+def _graded_breaks(s, t, rung=1.0, kinks=()):
+    """The points t - rung 2^k, k = 0, 1, ..., and the kinks strictly
+    inside (s, t), in increasing order and each once."""
+    breaks, edge, step = set(), t, rung
     while s < t - step < edge:
         edge = t - step
-        breaks.append(edge)
+        breaks.add(edge)
         step *= 2.0
-    return breaks[::-1]
+    return sorted(breaks.union(k for k in kinks if s < k < t))
 
 
 def _adaptive_integral(rate):
@@ -176,13 +176,18 @@ class OUModel:
     mode_decay: per-mode sup_t a_k (all < 0) for diagonal models;
     mode_noise_sup: per-mode sup_t |b_k|.  Generic models instead supply
     lambda0 (a negative exponential rate with ||U(t,s)|| <= envelope *
-    exp(lambda0 (t-s))) and rely on the noise bound.
+    exp(lambda0 (t-s))) and rely on the noise bound.  kinks: the times at
+    which a or b is not smooth (finite, else ValueError); every covariance
+    sweep cuts its panels there.
     """
 
     def __init__(self, family, noise, mode_decay=None, mode_noise_sup=None,
-                 lambda0=None, envelope=1.0):
+                 lambda0=None, envelope=1.0, kinks=()):
         if family.dim != noise.dim:
             raise ValueError("family and noise dimensions differ")
+        self.kinks = tuple(float(k) for k in kinks)
+        if not all(math.isfinite(k) for k in self.kinks):
+            raise ValueError("kinks must be finite")
         self.family = family
         self.noise = noise
         self.mode_decay = None if mode_decay is None else np.asarray(mode_decay, float)
@@ -192,6 +197,13 @@ class OUModel:
             lambda0 = float(self.mode_decay.max())
         self.lambda0 = lambda0
         self.envelope = float(envelope)
+        # the first rung h of q_ts's ladder is at most one decay length of
+        # the fastest mode's integrand exp(2 lambda_k (t-r)); a power of two,
+        # so the rungs from 1 on are the same floats as the unit ladder's
+        fastest = (0.0 if self.mode_decay is None
+                   else 2.0 * float(np.abs(self.mode_decay).max(initial=0.0)))
+        self._rung = (math.ldexp(1.0, math.frexp(1.0 / fastest)[1] - 1)
+                      if 1.0 < fastest < math.inf else 1.0)
 
     @property
     def dim(self):
@@ -241,12 +253,15 @@ class OUModel:
         """Covariance of the transition kernel on [s, t]; symmetric PSD and
         read-only, since it is kept per (s, t).
 
-        A panel sweep starts from [s, t] cut at the points t - 2^k,
-        k = 0, 1, ..., inside it: the integrand decays exponentially away
-        from t, and these are the cuts the tail certificate climbs."""
+        A panel sweep starts from [s, t] cut at the model's kinks and at
+        the points t - h 2^k, k = 0, 1, ..., inside it: the integrand decays
+        exponentially away from t, h is the largest power of two at most
+        min(1, 1/(2 max|mode_decay|)), so the first rung resolves the
+        fastest mode, and the rungs from 1 on are the cuts the tail
+        certificate climbs.  Without mode_decay, h = 1."""
         if s > t:
             raise ValueError("need s <= t")
-        breaks = _graded_breaks(s, t)
+        breaks = _graded_breaks(s, t, self._rung, self.kinks)
         if self.is_diagonal:
             return np.diag(self._q_diag(s, t, breaks))
         q = self._q_dense(s, t, breaks)

@@ -76,9 +76,10 @@ def diag_arctan_preset(c1, c2, d):
     prefactor = m_growth * high ** 2 * max(
         1.0 / (low ** 2 * (1.0 - math.exp(-2.0 * m_growth * c1))),
         math.exp(2.0 * c1) / (m_growth * high ** 2))
+    # arctan|t| has its kink at 0
     return OUModel(family, noise, mode_decay=lam,
                    mode_noise_sup=np.full(d, high),
-                   envelope=math.sqrt(prefactor))
+                   envelope=math.sqrt(prefactor), kinks=(0.0,))
 
 
 def malliavin_preset(a, b_modes, d, a_integral=None, a_sup=None,

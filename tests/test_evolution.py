@@ -574,13 +574,78 @@ def test_covariance_sweeps_start_from_a_mesh_graded_toward_t(monkeypatch):
     model.q_t_inf(0.0)
     model.q_t_inf(0.4)
     model.q_ts(0.0, 0.9)
-    (breaks_0, calls_0), (breaks_04, calls_04), (breaks_short, _) = sweeps
-    # the tail cut is delta = 16, and the sweep starts cut at t - 2^k
-    assert list(breaks_0) == [-8.0, -4.0, -2.0, -1.0]
-    assert list(breaks_04) == [0.4 - 8.0, 0.4 - 4.0, 0.4 - 2.0, 0.4 - 1.0]
-    assert len(calls_0) <= 3 and len(calls_04) <= 8
-    # an interval of length <= 1 starts as one panel
-    assert len(breaks_short) == 0
+    breaks_0, breaks_04, breaks_short = (list(b) for b, _ in sweeps)
+    # the tail cut is delta = 16, and the sweep starts cut at t - 2^-5 2^k,
+    # 2^-5 being the largest power of two at most 1/(2 * 9), and at the
+    # kink of arctan|r| at 0 when it lies inside
+    rungs = [2.0 ** k for k in range(3, -6, -1)]
+    assert breaks_0 == [-h for h in rungs]
+    assert breaks_04 == sorted([0.4 - h for h in rungs] + [0.0])
+    assert breaks_short == [0.9 - h for h in rungs[4:]]
+    # the starting mesh resolves the integrand: one call per sweep
+    assert [len(calls) for _, calls in sweeps] == [1, 1, 1]
+
+
+def test_q_t_inf_of_diag_arctan_matches_a_finer_split_reference():
+    for dim in (3, 8):
+        model = build_preset("diag_arctan", {"c1": 1.0, "c2": 2.0, "dim": dim})
+        delta, _ = model._tail_cut(1e-10)
+        for t in (0.05, 0.1, 0.4, 0.9, 1.7):
+            def integrand(r):
+                growth = model.family.rate_integral(r, t)
+                return np.exp(2.0 * growth) * model.noise.diag_values(r) ** 2
+            cuts = sorted({0.0} | {t - 2.0 ** k for k in range(-14, 4)})
+            ref = panel_integrate(integrand, t - delta, t, order=16,
+                                  max_refine=20, rtol=1e-15, breaks=cuts)
+            q = np.diag(model.q_t_inf(t)[0])
+            assert q == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_graded_breaks_stay_strictly_inside_far_from_the_origin():
+    # at t = 1e17 the spacing of floats is 16: t - 2^-5 == t, so the
+    # ladder stops before a rung can reach t
+    t = 1e17
+    for s in (t - 1e3, 0.0):
+        breaks = evolution._graded_breaks(s, t, 2.0 ** -5, kinks=(t - 64.0,))
+        assert breaks == [t - 64.0]
+        assert all(s < b < t for b in breaks)
+    breaks = evolution._graded_breaks(0.0, t, 2.0 ** 6)
+    assert breaks and all(0.0 < b < t for b in breaks)
+    assert all(a < b for a, b in zip(breaks, breaks[1:]))
+
+
+def test_graded_breaks_keep_a_kink_on_a_rung_once_and_drop_outer_kinks():
+    ladder = evolution._graded_breaks(-16.0, 0.4, 0.25)
+    assert evolution._graded_breaks(-16.0, 0.4, 0.25,
+                                    kinks=(0.4 - 2.0,)) == ladder
+    assert evolution._graded_breaks(-16.0, 0.4, 0.25,
+                                    kinks=(-16.0, -20.0, 0.4, 3.0)) == ladder
+    assert evolution._graded_breaks(-16.0, 0.4, 0.25, kinks=(0.0,)) == sorted(
+        ladder + [0.0])
+
+
+def test_a_model_without_mode_decay_keeps_the_unit_ladder(monkeypatch):
+    model = OUModel(EvolutionFamily(lambda t, s: np.eye(1), 1),
+                    NoiseFamily(lambda t: np.eye(1), 1, bound=1.0),
+                    lambda0=-1.0)
+    sweeps = []
+    real = evolution.panel_integrate
+
+    def recording(f, *args, **kwargs):
+        sweeps.append(kwargs["breaks"])
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(evolution, "panel_integrate", recording)
+    model.q_ts(0.4 - 16.0, 0.4)
+    assert sweeps == [[0.4 - 8.0, 0.4 - 4.0, 0.4 - 2.0, 0.4 - 1.0]]
+
+
+def test_non_finite_kinks_are_refused():
+    model = build_preset("diag_arctan", {"c1": 1.0, "c2": 2.0, "dim": 2})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="kinks"):
+            OUModel(model.family, model.noise, mode_decay=model.mode_decay,
+                    mode_noise_sup=model.mode_noise_sup, kinks=(0.0, bad))
 
 
 def test_bignamini_constant_model():

@@ -297,7 +297,8 @@ class TestConstantModels:
 
 def _rebuilt(new, family, noise):
     return OUModel(family, noise, mode_decay=new.mode_decay,
-                   mode_noise_sup=new.mode_noise_sup, envelope=new.envelope)
+                   mode_noise_sup=new.mode_noise_sup, envelope=new.envelope,
+                   kinks=new.kinks)
 
 
 def arctan_pair():
@@ -375,7 +376,11 @@ def test_vector_families_equal_per_mode_lists(pair):
 
 
 def test_arctan_sweep_evaluates_all_modes_in_one_call(monkeypatch):
-    model = diag_arctan_preset(1.0, 2.0, 3)
+    # without its kink at 0 the sweep needs several levels to bisect it
+    preset = diag_arctan_preset(1.0, 2.0, 3)
+    model = OUModel(preset.family, preset.noise, mode_decay=preset.mode_decay,
+                    mode_noise_sup=preset.mode_noise_sup,
+                    envelope=preset.envelope)
     counts = {"levels": 0, "primitive": 0, "noise": 0}
 
     def counted(name, fn):
