@@ -3,10 +3,10 @@
 Polynomials are kept in the normalized family phi_n = He_n/n!, whose
 three-term recurrence is stable far beyond the degrees used here; the
 orthonormal basis of L^2(gamma) is Phi_alpha = sqrt(alpha!) prod_j
-phi_{alpha_j}(x_j/sqrt(lambda_j)) over graded multi-indices.  Expansions are
-sparse maps from multi-index to coefficient, with closed forms for the two
-families the rest of the library leans on: exponentials of white noise and
-products of white noises.
+phi_{alpha_j}(x_j/sqrt(lambda_j)) over graded multi-indices.  An expansion
+is one coefficient vector, degree by degree in graded colex order, with
+closed forms for the two families the rest of the library leans on:
+exponentials of white noise and products of white noises.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class MultiIndex(tuple):
         return tuple(j for j, e in enumerate(self) for _ in range(e))
 
 
-def _colex_key(alpha):
-    return (sum(alpha), tuple(reversed(alpha)))
-
-
 @lru_cache(maxsize=None)
 def _positions(d, n):
     """The multi-indices of order n in d slots as a (K, n) table of their
@@ -99,9 +95,19 @@ def _indices(d, n, axes=None):
         return _indices(d, n)
     axes = np.array(range(d) if axes is None else axes, dtype=np.intp)
     positions = axes[_positions(len(axes), n)]
-    counts = (positions[:, :, None] == np.arange(d)).sum(axis=1)
+    counts = np.zeros((len(positions), d), dtype=np.intp)
+    np.add.at(counts, (np.arange(len(positions))[:, None], positions), 1)
     # nonnegative ints already, so MultiIndex's checks are skipped
     return tuple(tuple.__new__(MultiIndex, row) for row in counts.tolist())
+
+
+@lru_cache(maxsize=None)
+def _offsets(d, max_degree):
+    """The start of each degree n = 0..max_degree, and the length last, of a
+    graded vector over the multi-indices in d slots."""
+    counts = [math.comb(n + d - 1, n) if d else int(n == 0)
+              for n in range(max_degree + 1)]
+    return tuple(itertools.accumulate(counts, initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -169,14 +175,24 @@ def _symmetric_powers(m, max_degree):
         slots, drop = _index_tables(cols, n)
         p = _times_linear_forms(p[:, drop[:, -1]], *_index_tables(rows, n),
                                 m[:, slots[:, -1]])
-        yield p * (_sqrt_factorials(rows, n)[:, None]
-                   / _sqrt_factorials(cols, n)[None, :])
+        yield p * (_runs(rows, n)[1][:, None] / _runs(cols, n)[1][None, :])
 
 
 @lru_cache(maxsize=None)
-def _sqrt_factorials(d, n):
-    return _read_only(np.array([math.sqrt(alpha.factorial)
-                                for alpha in _indices(d, n)]))
+def _runs(d, n):
+    """(runs, roots) over pos = _positions(d, n): runs[k, j] is alpha_k at
+    slot pos[k, j] where j is the last copy of that slot in the row, and 0
+    at the other copies; roots[k] = sqrt(alpha_k!), alpha_k! taken exactly
+    as the product of the factorials of the runs."""
+    pos = _positions(d, n)
+    runs = np.ones(pos.shape, dtype=np.intp)
+    for j in range(1, n):
+        same = pos[:, j] == pos[:, j - 1]
+        runs[same, j] += runs[same, j - 1]
+        runs[same, j - 1] = 0
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=object)
+    exact = factorials[runs].prod(axis=1)
+    return _read_only((runs, np.sqrt(exact.astype(float))))
 
 
 def enumerate_indices(d, n):
@@ -286,23 +302,63 @@ def _hermite_sum(gamma, terms, x):
 
 
 class ChaosExpansion:
-    """Sparse chaos expansion: coefficients over multi-indices up to max_degree."""
+    """Chaos expansion: coefficients over multi-indices up to max_degree.
+
+    The coefficients are one read-only vector, degree by degree in graded
+    colex order, over the multi-indices that load only the increasing tuple
+    ``_axes``: degree n runs over _axes[_positions(len(_axes), n)].  The
+    constructor scatters a dict into it, over the axes its nonzero keys
+    load; ``coeffs`` is a dict view built on first read, in graded colex
+    order without zeros, and writing to it does not change the expansion.
+    """
 
     def __init__(self, measure, max_degree, coeffs, residual=None):
-        self.measure = measure
-        self.max_degree = int(max_degree)
+        max_degree = int(max_degree)
         clean = {}
         for alpha, c in coeffs.items():
             if type(alpha) is not MultiIndex:
                 alpha = MultiIndex(alpha)
             if len(alpha) != measure.dim:
                 raise ValueError("multi-index length does not match the measure")
-            if alpha.order > self.max_degree:
+            if alpha.order > max_degree:
                 raise ValueError("coefficient beyond max_degree")
             if c != 0.0:
                 clean[alpha] = float(c)
-        self.coeffs = clean
-        self.residual = residual
+        axes = tuple(sorted({j for alpha in clean for j in alpha.repeated()}))
+        vector = np.zeros(_offsets(len(axes), max_degree)[-1])
+        for alpha, c in clean.items():
+            row = np.searchsorted(axes, alpha.repeated()).reshape(1, -1)
+            vector[_offsets(len(axes), max_degree)[alpha.order]
+                   + _colex_rank(row)[0]] = c
+        vars(self).update(vars(self._of(measure, max_degree, axes, vector,
+                                        residual)))
+
+    @classmethod
+    def _of(cls, measure, max_degree, axes, vector, residual=None):
+        """The producers' constructor: vector laid out over axes as above."""
+        self = cls.__new__(cls)
+        self.measure, self.max_degree, self.residual = measure, max_degree, residual
+        self._axes, self._vector = axes, _read_only(vector)
+        return self
+
+    @cached_property
+    def coeffs(self):
+        keys = itertools.chain.from_iterable(
+            _indices(self.measure.dim, n, self._axes)
+            for n in range(self.max_degree + 1))
+        return {alpha: c for alpha, c in zip(keys, self._vector.tolist())
+                if c != 0.0}
+
+    def _degree(self, n):
+        """Degree n over _positions(measure.dim, n), in a fresh array."""
+        offsets = _offsets(len(self._axes), self.max_degree)
+        part = self._vector[offsets[n]:offsets[n + 1]]
+        if len(self._axes) == self.measure.dim:
+            return part.copy()
+        out = np.zeros(len(_positions(self.measure.dim, n)))
+        axes = np.array(self._axes, dtype=np.intp)
+        out[_colex_rank(axes[_positions(len(axes), n)])] = part
+        return out
 
     def __getitem__(self, alpha):
         if type(alpha) is not MultiIndex:
@@ -312,7 +368,7 @@ class ChaosExpansion:
         return self.coeffs.get(alpha, 0.0)
 
     def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: _colex_key(kv[0]))
+        return list(self.coeffs.items())
 
     def to_json(self):
         return json.dumps([{"alpha": list(a), "c": c} for a, c in self.sorted_items()])
@@ -330,15 +386,23 @@ def eval_expansion(expansion, x):
 
 
 def l2_norm(expansion):
-    return math.sqrt(sum(c * c for c in expansion.coeffs.values()))
+    return _mean_and_norm(expansion, 0)[1]
+
+
+def _mean_and_norm(expansion, start):
+    """(c_0, the root of the builtin sum of c * c over the vector from entry
+    start on, in vector order): the sum over coeffs to the bit, as the zeros
+    that coeffs drops add nothing."""
+    v = expansion._vector
+    return float(v[0]), math.sqrt(sum(c * c for c in v[start:].tolist()))
 
 
 def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     """Chaos coefficients c_alpha = integral of f * Phi_alpha against gamma.
 
-    The keys are :func:`_indices` on the L supported axes, shared by every
-    call.  A Gauss-Hermite grid is projected by sum factorisation
-    (:func:`_sum_factorised`).  Monte Carlo draws have no tensor structure
+    The coefficient vector runs over the L supported axes; both routes
+    write it in graded colex order.  A Gauss-Hermite grid is projected by
+    sum factorisation (:func:`_sum_factorised`).  Monte Carlo draws have no tensor structure
     and are streamed in the pieces of 8 192 points that the rule hands out;
     each piece gets one :func:`_basis_table` over the supported axes, and
     each multi-index multiplies f by the table rows of its nonzero entries
@@ -373,13 +437,13 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     # oversized grid is refused at once
     batches = _rule_batches(scheme, gamma.sqrt_cols())
     first = next(batches)
-    alphas = [a for n in range(max_degree + 1)
-              for a in _indices(gamma.dim, n, tuple(live.tolist()))]
     if sampled:
-        # (exponent, position in live) of each index's nonzero entries
-        factors = [[(a[j], i) for i, j in enumerate(live) if a[j]]
-                   for a in alphas]
-    sums = np.zeros(len(alphas))
+        # (exponent, position in live) of each index's nonzero entries, read
+        # off its row of positions
+        factors = [[(row.count(i), i) for i in sorted(set(row))]
+                   for n in range(max_degree + 1)
+                   for row in _positions(len(live), n).tolist()]
+    sums = np.zeros(_offsets(len(live), max_degree)[-1])
     sq_mass = 0.0
     for x, w in itertools.chain([first], batches):
         fv = eval_batch(f, x)
@@ -397,8 +461,7 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
             # the grid has scheme.nodes points on each supported axis, and
             # both lists of indices run in graded colex order
             sums = _sum_factorised(fv, (scheme.nodes,) * len(live), max_degree)
-    coeffs = dict(zip(alphas, sums.tolist()))
-    residual_sq = sq_mass - sum(c * c for c in coeffs.values())
+    residual_sq = sq_mass - sum(c * c for c in sums.tolist())
     residual = math.sqrt(max(residual_sq, 0.0))
     if expect_polynomial:
         # tolerance applies to the Parseval mass mismatch; the norm itself is
@@ -412,7 +475,8 @@ def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
             raise SchemeTooCoarse(
                 f"Parseval residual ||f||^2 - sum c^2 = {residual_sq:.3e} "
                 f"below -{budget:.3e}: the coefficients carry more mass than f")
-    return ChaosExpansion(gamma, max_degree, coeffs, residual=residual)
+    return ChaosExpansion._of(gamma, max_degree, tuple(live.tolist()), sums,
+                              residual)
 
 
 def _sum_factorised(values, nodes, max_degree):
@@ -446,9 +510,7 @@ def _degree_cut(k, max_degree):
     alpha_k = j, at row p * (max_degree + 1) + j.  The kept rows are those
     with deg p + j <= max_degree, in graded colex order of the extended
     indices: by degree, then by j, then by p."""
-    counts = [math.comb(d + k - 1, d) if k else int(d == 0)
-              for d in range(max_degree + 1)]
-    starts = np.cumsum([0] + counts)
+    starts = _offsets(k, max_degree)
     return _read_only(np.concatenate([
         np.arange(starts[e - j], starts[e - j + 1]) * (max_degree + 1) + j
         for e in range(max_degree + 1) for j in range(e + 1)]))
@@ -466,21 +528,24 @@ def exp_functional_coeffs(gamma, z, max_degree):
     """Chaos coefficients of the exponential functional E_z:
     c_alpha = prod_j z_j^{alpha_j} / sqrt(alpha!), over the support of gamma.
     Only indices on the supported axes where z_j != 0 are nonzero, so the
-    keys are :func:`_indices` on those axes; z has gamma.dim entries."""
+    vector runs over those axes; z has gamma.dim entries.  The powers come
+    from a table of scalar z_j ** k (an array ** differs in the last bit)."""
     z = np.asarray(z, dtype=float).reshape(-1)
     if len(z) != gamma.dim:
         raise ValueError(f"z of length {len(z)} on a measure of dimension "
                          f"{gamma.dim}")
-    live = np.flatnonzero(gamma.support & (z != 0.0)).tolist()
-    coeffs = {}
+    live = np.flatnonzero(gamma.support & (z != 0.0))
+    powers = np.array([[zj ** k for k in range(max_degree + 1)]
+                       for zj in z[live]]).reshape(len(live), max_degree + 1)
+    parts = []
     for n in range(max_degree + 1):
-        for alpha, root in zip(_indices(gamma.dim, n, tuple(live)),
-                               _sqrt_factorials(len(live), n)):
-            c = 1.0
-            for j in live:
-                c *= z[j] ** alpha[j]
-            coeffs[alpha] = c / root
-    return ChaosExpansion(gamma, max_degree, coeffs)
+        runs, roots = _runs(len(live), n)
+        c = np.ones(len(runs))
+        for j, column in enumerate(_positions(len(live), n).T):
+            c = c * powers[column, runs[:, j]]
+        parts.append(c / roots)
+    return ChaosExpansion._of(gamma, max_degree, tuple(live.tolist()),
+                              np.concatenate(parts))
 
 
 def monomial_coeffs(gamma, h_list):
@@ -501,5 +566,6 @@ def monomial_coeffs(gamma, h_list):
     for k, h in enumerate(hs, start=1):
         live = np.where(gamma.support, h, 0.0)
         poly = _times_linear_forms(poly, *_index_tables(d, k), live[:, None])
-    values = poly[:, 0] * _sqrt_factorials(d, n)
-    return ChaosExpansion(gamma, n, dict(zip(_indices(d, n), values.tolist())))
+    values = poly[:, 0] * _runs(d, n)[1]
+    return ChaosExpansion._of(gamma, n, tuple(range(d)), np.concatenate(
+        [np.zeros(_offsets(d, n)[n]), values]))

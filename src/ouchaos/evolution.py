@@ -28,7 +28,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chaos import _check_block, project
+from .chaos import _check_block, _mean_and_norm, project
 from .errors import HypothesisFailed, NoDecay, NotContraction
 from .gaussian import SpectralGaussian, expect, range_ratio_norm
 from .numerics import (QuadScheme, _kept, gauss_expect, panel_integrate,
@@ -429,12 +429,8 @@ def _chaos_decay_ratio(model, f, s, t, scheme, degree):
         scheme = replace(scheme, nodes=max(degree + 2, scheme.nodes))
     expansion = project(gamma_t, f, degree, scheme, expect_polynomial=exact)
     image = gamma_series_apply(pst_contraction(model, s, t), expansion)
-    zero = (0,) * model.dim
-
-    def centred_norm(e):
-        return math.sqrt(sum(c * c for a, c in e.coeffs.items() if a != zero))
-
-    return _ratio(centred_norm(image), centred_norm(expansion), expansion[zero])
+    mean, norm = _mean_and_norm(expansion, 1)
+    return _ratio(_mean_and_norm(image, 1)[1], norm, mean)
 
 
 def bignamini_check(model, s, t, bound_const, rate, power, verify_premise=False):

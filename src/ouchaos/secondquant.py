@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (NotContraction, NotSelfAdjoint, NotStrictContraction,
                      PreconditionViolated, SchemeTooCoarse, SizeTooLarge,
                      Unbounded)
-from .chaos import ChaosExpansion, MultiIndex, _indices, _symmetric_powers
+from .chaos import ChaosExpansion, MultiIndex, _symmetric_powers
 from .gaussian import (LinearMap, SpectralGaussian, cm_inner, pinv_sqrt_apply,
                        white_noise)
 from .numerics import (QuadScheme, _kept, _read_only, _restore_read_only,
@@ -182,15 +182,12 @@ def gamma_series_apply(T, expansion):
     T.require_contraction()
     if expansion.measure != T.mu:
         raise ValueError("expansion lives on a different measure than T")
-    coeffs = {}
+    images = []
     for n, block in enumerate(_symmetric_powers(T.matrix, expansion.max_degree)):
-        v = np.array([expansion.coeffs.get(a, 0.0) for a in _indices(T.mu.dim, n)])
-        if not v.any():
-            continue
-        image = block @ v
-        coeffs.update((b, c) for b, c in zip(_indices(T.nu.dim, n), image.tolist())
-                      if c != 0.0)
-    return ChaosExpansion(T.nu, expansion.max_degree, coeffs)
+        v = expansion._degree(n)
+        images.append(block @ v if v.any() else np.zeros(len(block)))
+    return ChaosExpansion._of(T.nu, expansion.max_degree, tuple(range(T.nu.dim)),
+                              np.concatenate(images))
 
 
 def degree_block(T, n):

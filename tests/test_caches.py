@@ -33,8 +33,9 @@ SAMPLES = {
     "chaos._indices": [(1, 0), (3, 2), (4, 2, (0, 2))],
     "chaos._index_tables": [(3, 2)],
     "chaos._positions": [(3, 2), (0, 0)],
+    "chaos._offsets": [(3, 2), (0, 0)],
     "chaos._degree_cut": [(0, 3), (2, 4)],
-    "chaos._sqrt_factorials": [(3, 2)],
+    "chaos._runs": [(3, 2)],
     "chaos._weighted_basis": [(2, 5), (6, 4)],
     "numerics._legendre_rule": [(8,)],
     "numerics._hermite_rule": [(1,), (12,)],
