@@ -204,10 +204,11 @@ def enumerate_indices(d, n):
 
 
 def enumerate_up_to(d, max_degree):
-    out = []
-    for n in range(max_degree + 1):
-        out.extend(_indices(d, n))
-    return out
+    """All multi-indices of length d with |alpha| <= max_degree, in graded
+    colex order."""
+    if d < 1 or max_degree < 0:
+        raise ValueError("need d >= 1 and max_degree >= 0")
+    return [alpha for n in range(max_degree + 1) for alpha in _indices(d, n)]
 
 
 def sigma_class_count(alpha):
@@ -314,6 +315,8 @@ class ChaosExpansion:
 
     def __init__(self, measure, max_degree, coeffs, residual=None):
         max_degree = int(max_degree)
+        if max_degree < 0:
+            raise ValueError("need max_degree >= 0")
         clean = {}
         for alpha, c in coeffs.items():
             if type(alpha) is not MultiIndex:
@@ -322,10 +325,17 @@ class ChaosExpansion:
                 raise ValueError("multi-index length does not match the measure")
             if alpha.order > max_degree:
                 raise ValueError("coefficient beyond max_degree")
+            c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c} at {alpha} is not finite")
             if c != 0.0:
-                clean[alpha] = float(c)
+                clean[alpha] = c
         axes = tuple(sorted({j for alpha in clean for j in alpha.repeated()}))
-        vector = np.zeros(_offsets(len(axes), max_degree)[-1])
+        size = math.comb(max_degree + len(axes), max_degree)
+        if size > BLOCK_MAX_ENTRIES:
+            raise SizeTooLarge(f"coefficient vector of {size} entries exceeds "
+                               f"the budget BLOCK_MAX_ENTRIES = {BLOCK_MAX_ENTRIES}")
+        vector = np.zeros(size)
         for alpha, c in clean.items():
             row = np.searchsorted(axes, alpha.repeated()).reshape(1, -1)
             vector[_offsets(len(axes), max_degree)[alpha.order]

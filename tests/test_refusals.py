@@ -7,8 +7,9 @@ message, so a refusal that changes type or wording is seen here.
 import numpy as np
 import pytest
 
-from ouchaos.chaos import ChaosExpansion, enumerate_indices, hermite_phi, phi_alpha
-from ouchaos.errors import NoDecay, NotSelfAdjoint
+from ouchaos.chaos import (ChaosExpansion, enumerate_indices, enumerate_up_to,
+                           hermite_phi, phi_alpha)
+from ouchaos.errors import NoDecay, NotSelfAdjoint, SizeTooLarge
 from ouchaos.evolution import (EvolutionFamily, NoiseFamily, OUModel,
                                bignamini_check, decay_ratio, pst_apply,
                                pst_contraction)
@@ -46,8 +47,24 @@ REFUSALS = {
                              ValueError, "degree must be nonnegative"),
     "phi_alpha_length": (lambda: phi_alpha(G2, (1,), np.zeros(2)),
                          ValueError, "does not match the dimension"),
+    "enumerate_up_to_d0": (lambda: enumerate_up_to(0, 2),
+                           ValueError, "need d >= 1"),
+    "enumerate_up_to_negative_degree": (lambda: enumerate_up_to(2, -1),
+                                        ValueError, "max_degree >= 0"),
     "expansion_beyond_degree": (lambda: ChaosExpansion(G1, 1, {(2,): 1.0}),
                                 ValueError, "beyond max_degree"),
+    "expansion_negative_degree": (lambda: ChaosExpansion(G1, -1, {}),
+                                  ValueError, "need max_degree >= 0"),
+    "expansion_nan": (lambda: ChaosExpansion(G2, 2, {(1, 0): np.nan}),
+                      ValueError, "is not finite"),
+    "expansion_infinite": (lambda: ChaosExpansion(G2, 2, {(0, 1): -np.inf}),
+                           ValueError, "is not finite"),
+    # 200 axes loaded, C(204, 4) = 70 058 751 entries up to degree 4
+    "expansion_vector_budget": (
+        lambda: ChaosExpansion(SpectralGaussian(np.ones(200)), 4,
+                               {(0,) * j + (1,) + (0,) * (199 - j): 1.0
+                                for j in range(200)}),
+        SizeTooLarge, "BLOCK_MAX_ENTRIES = 4194304"),
     # evolution
     "rate_integral_dense": (lambda: _dense_family().rate_integral(0.0, 1.0),
                             ValueError, "only for diagonal families"),
