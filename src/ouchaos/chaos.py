@@ -360,11 +360,11 @@ class ChaosExpansion:
                 if c != 0.0}
 
     def _degree(self, n):
-        """Degree n over _positions(measure.dim, n), in a fresh array."""
+        """The degree-n coefficients over _positions(measure.dim, n)."""
         offsets = _offsets(len(self._axes), self.max_degree)
         part = self._vector[offsets[n]:offsets[n + 1]]
         if len(self._axes) == self.measure.dim:
-            return part.copy()
+            return part
         out = np.zeros(len(_positions(self.measure.dim, n)))
         axes = np.array(self._axes, dtype=np.intp)
         out[_colex_rank(axes[_positions(len(axes), n)])] = part

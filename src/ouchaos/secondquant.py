@@ -177,8 +177,10 @@ def gamma_matrix_element(T, alpha, beta):
 
 
 def gamma_series_apply(T, expansion):
-    """Degreewise action of the second quantization on a chaos expansion;
-    SizeTooLarge when its top block exceeds chaos.BLOCK_MAX_ENTRIES."""
+    """Degreewise action of the second quantization on a chaos expansion:
+    each degree's coefficients, over all axes of T.mu, times that degree's
+    block, giving the image over all axes of T.nu; SizeTooLarge when its
+    top block exceeds chaos.BLOCK_MAX_ENTRIES."""
     T.require_contraction()
     if expansion.measure != T.mu:
         raise ValueError("expansion lives on a different measure than T")
