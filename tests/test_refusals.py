@@ -59,6 +59,9 @@ REFUSALS = {
                       ValueError, "is not finite"),
     "expansion_infinite": (lambda: ChaosExpansion(G2, 2, {(0, 1): -np.inf}),
                            ValueError, "is not finite"),
+    "expansion_json_nan": (
+        lambda: ChaosExpansion.from_json('[{"alpha": [1, 0], "c": NaN}]', G2, 2),
+        ValueError, "is not finite"),
     # 200 axes loaded, C(204, 4) = 70 058 751 entries up to degree 4
     "expansion_vector_budget": (
         lambda: ChaosExpansion(SpectralGaussian(np.ones(200)), 4,
