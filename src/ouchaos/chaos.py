@@ -410,9 +410,9 @@ def _mean_and_norm(expansion, start):
 def project(gamma, f, max_degree, scheme=None, expect_polynomial=False):
     """Chaos coefficients c_alpha = integral of f * Phi_alpha against gamma.
 
-    The coefficient vector runs over the L supported axes; both routes
-    write it in graded colex order.  A Gauss-Hermite grid is projected by
-    sum factorisation (:func:`_sum_factorised`).  Monte Carlo draws have no tensor structure
+    The coefficient vector runs over the L supported axes, in graded colex
+    order.  A Gauss-Hermite grid is projected by sum factorisation
+    (:func:`_sum_factorised`).  Monte Carlo draws have no tensor structure
     and are streamed in the pieces of 8 192 points that the rule hands out;
     each piece gets one :func:`_basis_table` over the supported axes, and
     each multi-index multiplies f by the table rows of its nonzero entries
